@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmcurve import (  # noqa: E402
-    build_shard,
+    build_shards,
     construct_curve,
     discriminant,
     find_crt_primes,
@@ -51,10 +51,10 @@ def main() -> None:
     big = prime_set.primes[-1]
     print(f"\nbuilding the shard at p = {big.p} (t = {big.t}), jobs = {args.jobs}")
     t0 = time.perf_counter()
-    shard = build_shard(disc, big, jobs=args.jobs, cache_dir=args.cache)
+    shard = build_shards(disc, [big], jobs=args.jobs, cache_dir=args.cache)[0]
     print(f"done in {time.perf_counter() - t0:.1f}s; "
           f"first j = {shard.j_set[0]}, last j = {shard.j_set[-1]}")
-    print(f"X^95 coefficient = {shard.poly.coeffs[95]}, "
+    print(f"X^{disc.h - 1} coefficient = {shard.poly.coeffs[-2]}, "
           f"constant = {shard.poly.coeffs[0]}")
 
     check = curve_from_j(shard.j_set[0], big.p)

@@ -11,13 +11,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmcurve import (  # noqa: E402
-    build_basis,
     build_shards,
     construct_curve,
     crt_integer,
-    crt_mod_n,
     derive_cm_params,
     find_crt_primes,
+    lift_shards,
     point_count_naive,
     reduced_forms,
 )
@@ -52,12 +51,8 @@ def main() -> None:
     ]
     print(f"\ninteger class polynomial coefficients (low to high): {ints} + [1]")
 
-    basis = build_basis(moduli, n, 0.001)
-    lifted = [
-        crt_mod_n(basis, [s.poly.coeffs[i] for s in shards])
-        for i in range(disc.h)
-    ]
-    print(f"coefficients mod {n}: {lifted} + [1]")
+    lifted = lift_shards(shards, n, 0.001)
+    print(f"coefficients mod {n}: {list(lifted.coeffs)}")
 
     result = construct_curve(n, N)
     E = result.curve

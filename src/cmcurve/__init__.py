@@ -22,6 +22,7 @@ from .cm import (
     find_all_roots,
     find_root_mod_n,
     hilbert_mod_n,
+    lift_shards,
     verify_order,
 )
 from .crt import CrtBasis, build_basis, crt_integer, crt_mod_n, round_quotient

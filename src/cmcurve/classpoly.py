@@ -94,25 +94,19 @@ def poly_from_roots(roots, m: int) -> PolyModM:
 # j-invariant scan
 # ---------------------------------------------------------------------------
 
+# Key of the scan's probe points. A shard depends only on (D, p, t): every
+# candidate is confirmed by an exact count, so the probes need no run seed.
+_SCAN_SEED = 0
 
-def _exact_count(p: int, a4: int, a6: int, j: int, method: str, naive_cap: int, seed) -> int:
+
+def _exact_count(p: int, a4: int, a6: int, j: int) -> int:
     E = CurveModP(p=p, a4=a4, a6=a6, j=j)
-    if method == "naive" or (method == "auto" and p <= naive_cap):
-        return point_count_naive(E, cap=max(naive_cap, p))
-    return point_count_bsgs(E, rng=task_rng(seed, "count", p, j))
+    if p <= NAIVE_COUNT_CAP:
+        return point_count_naive(E)
+    return point_count_bsgs(E, rng=task_rng(_SCAN_SEED, "count", p, j))
 
 
-def _scan_range(
-    p: int,
-    t: int,
-    lo: int,
-    hi: int,
-    seed,
-    method: str,
-    naive_cap: int,
-    samples: int,
-    prefilter: bool,
-) -> list[int]:
+def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
     """Confirmed j-invariants in [lo, hi) whose curve order is p + 1 +- t."""
     tbl = residue_table(p)
     n_minus, n_plus = p + 1 - t, p + 1 + t
@@ -125,70 +119,55 @@ def _scan_range(
         k = j * pow((1728 - j) % p, -1, p) % p
         a4 = 3 * k % p
         a6 = 2 * k % p
-        if prefilter:
-            rng = task_rng(seed, p, j)
-            while True:
-                x = rng.randrange(p)
-                rhs = (x * x % p * x + a4 * x + a6) % p
-                if tbl[rhs]:
-                    break
-            if sqrt_exp is not None:
-                y = pow(rhs, sqrt_exp, p)
-            else:
-                y = sqrt_mod_p(rhs, p)
-            a = _mul_raw(p, a4, x, y, p + 1)
-            b = _mul_raw(p, a4, x, y, t)
-            if a is None or b is None:
-                if a is not b:
-                    continue  # annihilated by neither candidate
-            elif a[0] != b[0]:
-                continue
-            E = CurveModP(p=p, a4=a4, a6=a6, j=j)
-            verdict = order_filter(E, t, samples=samples, rng=task_rng(seed, "flt", p, j))
-            if verdict is OrderVerdict.NEITHER:
-                continue
-        if _exact_count(p, a4, a6, j, method, naive_cap, seed) in (n_minus, n_plus):
+        rng = task_rng(_SCAN_SEED, p, j)
+        while True:
+            x = rng.randrange(p)
+            rhs = (x * x % p * x + a4 * x + a6) % p
+            if tbl[rhs]:
+                break
+        if sqrt_exp is not None:
+            y = pow(rhs, sqrt_exp, p)
+        else:
+            y = sqrt_mod_p(rhs, p)
+        a = _mul_raw(p, a4, x, y, p + 1)
+        b = _mul_raw(p, a4, x, y, t)
+        if a is None or b is None:
+            if a is not b:
+                continue  # annihilated by neither candidate
+        elif a[0] != b[0]:
+            continue
+        E = CurveModP(p=p, a4=a4, a6=a6, j=j)
+        verdict = order_filter(E, t, rng=task_rng(_SCAN_SEED, "flt", p, j))
+        if verdict is OrderVerdict.NEITHER:
+            continue
+        if _exact_count(p, a4, a6, j) in (n_minus, n_plus):
             out.append(j)
     return out
 
 
-def _scan_task(args):
-    return _scan_range(*args)
-
-
-def find_j_invariants(
-    disc: Discriminant,
-    cp: CrtPrime,
-    *,
-    method: str = "auto",
-    naive_cap: int = NAIVE_COUNT_CAP,
-    prefilter: bool = True,
-    samples: int = 4,
-    seed=0,
-    jobs: int = 1,
-) -> list[int]:
+def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> list[int]:
     """The h j-invariants over F_p whose curves have p + 1 +- t points.
 
     Every survivor of the probabilistic filter is confirmed with an exact
     count, so the result is exact; finding anything other than h of them
-    raises WrongCount and aborts the run.
+    raises WrongCount and aborts the run. With jobs > 1 and p >= 2^16 the
+    j-range is split into chunks scanned by a process pool.
     """
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:
         raise ValueError(f"prime {p} with trace {t} does not match d = {disc.d}")
     if disc.d <= 4:
         raise ValueError("d <= 4 is handled by the special curve models")
-    args = (seed, method, naive_cap, samples, prefilter)
     if jobs <= 1 or p < 1 << 16:
-        found = _scan_range(p, t, 0, p, *args)
+        found = _scan_range(p, t, 0, p)
     else:
-        chunks = max(jobs * 4, 1)
+        chunks = jobs * 4
         bounds = [(p * i) // chunks for i in range(chunks + 1)]
-        tasks = [
-            (p, t, bounds[i], bounds[i + 1], *args) for i in range(chunks)
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = [j for part in pool.map(_scan_task, tasks) for j in part]
+            parts = pool.map(
+                _scan_range, [p] * chunks, [t] * chunks, bounds[:-1], bounds[1:]
+            )
+            found = [j for part in parts for j in part]
     found.sort()
     if len(found) != disc.h:
         raise WrongCount(
@@ -197,27 +176,8 @@ def find_j_invariants(
     return found
 
 
-def build_shard(
-    disc: Discriminant,
-    cp: CrtPrime,
-    *,
-    method: str = "auto",
-    naive_cap: int = NAIVE_COUNT_CAP,
-    prefilter: bool = True,
-    samples: int = 4,
-    seed=0,
-    jobs: int = 1,
-) -> Shard:
-    js = find_j_invariants(
-        disc,
-        cp,
-        method=method,
-        naive_cap=naive_cap,
-        prefilter=prefilter,
-        samples=samples,
-        seed=seed,
-        jobs=jobs,
-    )
+def build_shard(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> Shard:
+    js = find_j_invariants(disc, cp, jobs=jobs)
     return Shard(
         D=disc.D,
         p=cp.p,
@@ -280,71 +240,26 @@ def load_shard(path) -> Shard:
     return shard_from_json(Path(path).read_text())
 
 
-def _shard_task(args):
-    D, d, h, log_B, p, t, method, naive_cap, prefilter, samples, seed = args
-    disc = Discriminant(D=D, d=d, h=h, log_B=log_B)
-    return build_shard(
-        disc,
-        CrtPrime(p=p, t=t),
-        method=method,
-        naive_cap=naive_cap,
-        prefilter=prefilter,
-        samples=samples,
-        seed=seed,
-        jobs=1,
-    )
-
-
 def build_shards(
-    disc: Discriminant,
-    crt_primes,
-    *,
-    method: str = "auto",
-    naive_cap: int = NAIVE_COUNT_CAP,
-    prefilter: bool = True,
-    samples: int = 4,
-    seed=0,
-    jobs: int = 1,
-    cache_dir=None,
+    disc: Discriminant, crt_primes, *, jobs: int = 1, cache_dir=None
 ) -> list[Shard]:
-    """Shards for every prime, cache-aware, optionally across a worker pool.
+    """Shards for every prime, ordered by p ascending.
 
-    Distinct primes are independent, so they are farmed out whole; the
-    result is always ordered by p ascending regardless of scheduling.
+    Primes are taken in ascending order, one at a time; `jobs` is the
+    j-scan pool inside each shard. With a cache directory, cached shards
+    are loaded and every new shard is saved as soon as it is built, so an
+    interrupted run resumes where it stopped.
     """
-    todo = []
-    have: dict[int, Shard] = {}
-    for cp in crt_primes:
-        if cache_dir is not None:
-            path = shard_path(cache_dir, disc.D, cp.p)
-            if path.exists():
-                shard = load_shard(path)
-                if (shard.D, shard.t) != (disc.D, cp.t):
-                    raise ValueError(f"cached shard {path} does not match request")
-                have[cp.p] = shard
-                continue
-        todo.append(cp)
-    if todo:
-        if jobs > 1 and len(todo) > 1:
-            tasks = [
-                (disc.D, disc.d, disc.h, disc.log_B, cp.p, cp.t,
-                 method, naive_cap, prefilter, samples, seed)
-                for cp in todo
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                built = list(pool.map(_shard_task, tasks))
+    shards = []
+    for cp in sorted(crt_primes, key=lambda c: c.p):
+        path = None if cache_dir is None else shard_path(cache_dir, disc.D, cp.p)
+        if path is not None and path.exists():
+            shard = load_shard(path)
+            if (shard.D, shard.t) != (disc.D, cp.t):
+                raise ValueError(f"cached shard {path} does not match request")
         else:
-            inner_jobs = jobs if len(todo) == 1 else 1
-            built = [
-                build_shard(
-                    disc, cp, method=method, naive_cap=naive_cap,
-                    prefilter=prefilter, samples=samples, seed=seed,
-                    jobs=inner_jobs,
-                )
-                for cp in todo
-            ]
-        for shard in built:
-            have[shard.p] = shard
+            shard = build_shard(disc, cp, jobs=jobs)
             if cache_dir is not None:
                 save_shard(shard, cache_dir)
-    return [have[cp.p] for cp in sorted(crt_primes, key=lambda c: c.p)]
+        shards.append(shard)
+    return shards

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: forms, primes, hdmodp (one shard),
-lift (shards to a polynomial mod n), count, construct, verify, and bench.
+lift (shards to a polynomial mod n), count, construct and verify.
 With --json every integer is emitted as a decimal string so consumers
 never hit 64-bit overflow. Identical invocations with the same seed print
 identical bytes; wall-clock timings only appear under --timings.
@@ -29,8 +29,6 @@ class Config:
     jobs: int = 1
     cache_dir: Path | None = None
     seed: int = 0
-    count_method: str = "auto"
-    naive_cap: int = curves.NAIVE_COUNT_CAP
 
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:
@@ -49,8 +47,6 @@ def _config(args) -> Config:
         jobs=getattr(args, "jobs", 1),
         cache_dir=Path(cache) if cache else None,
         seed=getattr(args, "seed", 0),
-        count_method=getattr(args, "method", "auto"),
-        naive_cap=getattr(args, "naive_cap", curves.NAIVE_COUNT_CAP),
     )
 
 
@@ -134,11 +130,9 @@ def _cmd_hdmodp(args, out) -> int:
     cfg = _config(args)
     disc = quadforms.discriminant(args.D)
     cp = _find_crt_prime(disc, args.p)
-    shards = classpoly.build_shards(
-        disc, [cp], jobs=cfg.jobs, cache_dir=cfg.cache_dir,
-        seed=cfg.seed, method=cfg.count_method, naive_cap=cfg.naive_cap,
+    [shard] = classpoly.build_shards(
+        disc, [cp], jobs=cfg.jobs, cache_dir=cfg.cache_dir
     )
-    shard = shards[0]
     if args.json:
         out.write(classpoly.shard_to_json(shard))
     else:
@@ -167,8 +161,8 @@ def _cmd_lift(args, out) -> int:
         raise ValueError("lift needs -n unless --integer is given")
     shards = _load_shard_dir(Path(args.shards))
     h = shards[0].h
-    moduli = [s.p for s in shards]
     if args.integer:
+        moduli = [s.p for s in shards]
         ints = [
             crt.crt_integer(moduli, [s.poly.coeffs[i] for s in shards])
             for i in range(h)
@@ -179,16 +173,12 @@ def _cmd_lift(args, out) -> int:
             "coeffs_signed": [_s(v) for v in ints] + ["1"],
         }
     else:
-        basis = crt.build_basis(moduli, args.n, args.epsilon)
-        res = [
-            crt.crt_mod_n(basis, [s.poly.coeffs[i] for s in shards])
-            for i in range(h)
-        ]
+        poly = cm.lift_shards(shards, args.n, args.epsilon)
         doc = {
             "D": _s(shards[0].D),
             "n": _s(args.n),
             "degree": _s(h),
-            "coeffs": [_s(v) for v in res] + ["1"],
+            "coeffs": [_s(v) for v in poly.coeffs],
         }
     _emit(doc, args.json, out)
     return 0
@@ -197,16 +187,16 @@ def _cmd_lift(args, out) -> int:
 def _cmd_count(args, out) -> int:
     cfg = _config(args)
     E = curves.curve_from_j(args.j, args.p)
-    if cfg.count_method == "bsgs":
+    if args.method == "bsgs":
         n_points = curves.point_count_bsgs(E, rng=task_rng(cfg.seed, "count", args.p))
     else:
-        n_points = curves.point_count_naive(E, cap=cfg.naive_cap)
+        n_points = curves.point_count_naive(E)
     doc = {
         "p": _s(args.p),
         "j": _s(E.j),
         "a4": _s(E.a4),
         "a6": _s(E.a6),
-        "method": cfg.count_method,
+        "method": args.method,
         "points": _s(n_points),
     }
     _emit(doc, args.json, out)
@@ -222,8 +212,6 @@ def _cmd_construct(args, out) -> int:
         jobs=cfg.jobs,
         seed=cfg.seed,
         cache_dir=cfg.cache_dir,
-        method=cfg.count_method,
-        naive_cap=cfg.naive_cap,
     )
     params = cm.derive_cm_params(args.n, args.N)
     doc = {
@@ -246,9 +234,7 @@ def _cmd_construct(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     cfg = _config(args)
     E = curves.curve(args.n, args.a4, args.a6)
-    ok = cm.verify_order(
-        E, args.N, rng=task_rng(cfg.seed, "verify", args.n), naive_cap=cfg.naive_cap
-    )
+    ok = cm.verify_order(E, args.N, rng=task_rng(cfg.seed, "verify", args.n))
     doc = {
         "n": _s(args.n),
         "N": _s(args.N),
@@ -258,42 +244,6 @@ def _cmd_verify(args, out) -> int:
     }
     _emit(doc, args.json, out)
     return 0 if ok else 1
-
-
-def _cmd_bench(args, out) -> int:
-    import time
-
-    cfg = _config(args)
-    stages = {}
-    t0 = time.perf_counter()
-    disc = quadforms.discriminant(args.D)
-    stages["forms"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ps = primegen.find_crt_primes(disc, epsilon=cfg.epsilon)
-    stages["primes"] = time.perf_counter() - t0
-    stats = primegen.prime_stats(ps)
-    doc = {
-        "D": _s(disc.D),
-        "h": _s(disc.h),
-        "log_B": disc.log_B,
-        "prime_count": _s(stats.count),
-        "max_p": _s(stats.max_p),
-        "count_times_logd_over_logB": stats.count_times_logd_over_logB,
-        "max_p_over_logB_sq": stats.max_p_over_logB_sq,
-    }
-    if args.n is not None:
-        t0 = time.perf_counter()
-        poly = cm.hilbert_mod_n(
-            disc, args.n, epsilon=cfg.epsilon, jobs=cfg.jobs,
-            cache_dir=cfg.cache_dir, seed=cfg.seed,
-            method=cfg.count_method, naive_cap=cfg.naive_cap,
-        )
-        stages["shards_and_lift"] = time.perf_counter() - t0
-        doc["n"] = _s(args.n)
-        doc["coeffs"] = [_s(c) for c in poly.coeffs]
-    doc["wall_times"] = {k: round(v, 6) for k, v in stages.items()}
-    _emit(doc, args.json, out)
-    return 0
 
 
 def _add_common(sub, *, epsilon=False, jobs=False, seed=False, cache=False):
@@ -328,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("hdmodp", help="class polynomial shard at one prime")
     s.add_argument("-D", type=int, required=True)
     s.add_argument("-p", type=int, required=True)
-    _add_common(s, jobs=True, seed=True, cache=True)
+    _add_common(s, jobs=True, cache=True)
     s.set_defaults(func=_cmd_hdmodp)
 
     s = subs.add_parser("lift", help="combine shards into the polynomial mod n")
@@ -360,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a6", type=int, required=True)
     _add_common(s, seed=True)
     s.set_defaults(func=_cmd_verify)
-
-    s = subs.add_parser("bench", help="stage timings and prime-search ratios")
-    s.add_argument("-D", type=int, required=True)
-    s.add_argument("-n", type=int, default=None)
-    _add_common(s, epsilon=True, jobs=True, seed=True, cache=True)
-    s.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -31,7 +31,7 @@ from .curves import (
     scalar_mul,
     smallest_nonresidue,
 )
-from .errors import Ambiguous, NoRoot, OutsideHasse, ZeroTrace
+from .errors import Ambiguous, InvariantViolation, NoRoot, OutsideHasse, ZeroTrace
 from .primegen import DEFAULT_EPSILON, find_crt_primes
 from .quadforms import Discriminant, discriminant
 
@@ -71,6 +71,20 @@ def derive_cm_params(n: int, N: int) -> CmParams:
     return CmParams(n=n, N=N, t=t, disc=disc)
 
 
+def lift_shards(shards, n: int, epsilon: float) -> PolyModM:
+    """The monic polynomial mod n whose reductions are the given shards.
+
+    The shards share one degree h; each of the h lower coefficients is
+    lifted by the modular CRT over the shard primes.
+    """
+    basis = build_basis([s.p for s in shards], n, epsilon)
+    coeffs = [
+        crt_mod_n(basis, [s.poly.coeffs[i] for s in shards])
+        for i in range(shards[0].h)
+    ]
+    return PolyModM(modulus=n, coeffs=tuple(coeffs) + (1,))
+
+
 def hilbert_mod_n(
     disc: Discriminant,
     n: int,
@@ -78,9 +92,6 @@ def hilbert_mod_n(
     epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
     cache_dir=None,
-    seed=0,
-    method: str = "auto",
-    naive_cap: int = NAIVE_COUNT_CAP,
 ) -> PolyModM:
     """The class polynomial for disc reduced mod n, degree h, monic.
 
@@ -93,22 +104,8 @@ def hilbert_mod_n(
     if disc.d == 4:
         return PolyModM(modulus=n, coeffs=((-1728) % n, 1))
     prime_set = find_crt_primes(disc, epsilon=epsilon)
-    shards = build_shards(
-        disc,
-        prime_set.primes,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        seed=seed,
-        method=method,
-        naive_cap=naive_cap,
-    )
-    basis = build_basis([s.p for s in shards], n, epsilon)
-    coeffs = [
-        crt_mod_n(basis, [s.poly.coeffs[i] for s in shards])
-        for i in range(disc.h)
-    ]
-    coeffs.append(1)
-    return PolyModM(modulus=n, coeffs=tuple(coeffs))
+    shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
+    return lift_shards(shards, n, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,8 @@ def _pdiv_exact(a, b, n):
         for i, c in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * c) % n
         _ptrim(a)
-    assert not a, "division was not exact"
+    if a:
+        raise InvariantViolation(f"division mod {n} was not exact")
     return q
 
 
@@ -233,7 +231,8 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
         return []
     roots = _split_roots(g, n, task_rng(seed, "roots", n))
     roots.sort()
-    assert all(poly.evaluate(r) == 0 for r in roots)
+    if any(poly.evaluate(r) != 0 for r in roots):
+        raise InvariantViolation(f"split produced a non-root mod {n}")
     return roots
 
 
@@ -274,17 +273,13 @@ def verify_order(
         exact = point_count_naive(E, cap=naive_cap)
         if exact != N:
             return False
-        P = random_point(E, rng)
-        while P is None:  # unreachable; random_point returns affine points
-            P = random_point(E, rng)
-        assert scalar_mul(E, P, N) is None
+        if scalar_mul(E, random_point(E, rng), N) is not None:
+            raise InvariantViolation(f"exact count {N} does not annihilate a point")
         return True
     other = 2 * p + 2 - N
     other_ruled_out = other == N
     for _ in range(samples):
         P = random_point(E, rng)
-        while P is None:
-            P = random_point(E, rng)
         if scalar_mul(E, P, N) is not None:
             return False
         if not other_ruled_out and scalar_mul(E, P, other) is not None:
@@ -292,15 +287,13 @@ def verify_order(
     return other_ruled_out
 
 
-def _exact_order(E: CurveModP, naive_cap: int, rng) -> int:
-    if E.p <= naive_cap:
-        return point_count_naive(E, cap=naive_cap)
+def _exact_order(E: CurveModP, rng) -> int:
+    if E.p <= NAIVE_COUNT_CAP:
+        return point_count_naive(E)
     return point_count_bsgs(E, rng=rng)
 
 
-def _special_j_curve(
-    n: int, N: int, j: int, seed, naive_cap: int
-) -> CurveModP:
+def _special_j_curve(n: int, N: int, j: int, seed) -> CurveModP:
     """Scan twists of the j = 0 / j = 1728 models for the order N.
 
     y^2 = x^3 + b covers the six sextic twist classes as b varies, and
@@ -312,7 +305,7 @@ def _special_j_curve(
         E = (
             curve(n, 0, coef) if j == 0 else curve(n, coef, 0)
         )
-        if verify_order(E, N, rng=rng, naive_cap=naive_cap):
+        if verify_order(E, N, rng=rng):
             return E
     raise Ambiguous(f"no twist with {N} points found among small coefficients")
 
@@ -325,8 +318,6 @@ def construct_curve(
     jobs: int = 1,
     seed=0,
     cache_dir=None,
-    method: str = "auto",
-    naive_cap: int = NAIVE_COUNT_CAP,
     force_j: int | None = None,
 ) -> CurveResult:
     """A verified curve over F_n with exactly N points.
@@ -354,22 +345,14 @@ def construct_curve(
             raise ValueError("force_j is not a root of the class polynomial")
         timings["hilbert"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        E = _special_j_curve(n, N, j, seed, naive_cap)
+        E = _special_j_curve(n, N, j, seed)
         timings["construct"] = time.perf_counter() - t0
         return CurveResult(
             curve=E, j=j, order=N, h=disc.h, primes_used=(), timings=timings
         )
 
-    shards = build_shards(
-        disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir,
-        seed=seed, method=method, naive_cap=naive_cap,
-    )
-    basis = build_basis([s.p for s in shards], n, epsilon)
-    coeffs = [
-        crt_mod_n(basis, [s.poly.coeffs[i] for s in shards])
-        for i in range(disc.h)
-    ]
-    poly = PolyModM(modulus=n, coeffs=tuple(coeffs + [1]))
+    shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
+    poly = lift_shards(shards, n, epsilon)
     timings["hilbert"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -390,7 +373,7 @@ def construct_curve(
     )
     verdict = order_filter(E, t_abs, samples=16, rng=task_rng(seed, "branch", n))
     if verdict is OrderVerdict.INCONCLUSIVE:
-        exact = _exact_order(E, naive_cap, task_rng(seed, "order", n))
+        exact = _exact_order(E, task_rng(seed, "order", n))
         verdict = (
             wanted if exact == N else
             (OrderVerdict.MATCHES_PLUS if wanted is OrderVerdict.MATCHES_MINUS
@@ -400,7 +383,7 @@ def construct_curve(
         raise Ambiguous("class polynomial root produced a curve off both branches")
     if verdict is not wanted:
         E = quadratic_twist(E, smallest_nonresidue(n))
-    if not verify_order(E, N, rng=task_rng(seed, "verify", n), naive_cap=naive_cap):
+    if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
         raise Ambiguous("constructed curve failed order verification")
     timings["construct"] = time.perf_counter() - t0
 

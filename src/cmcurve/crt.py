@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import FixedPoint, mod_inverse
-from .errors import ModulusDividesN, NotCoprime, PrecisionBudgetExceeded
+from .arith import mod_inverse
+from .errors import NotCoprime, PrecisionBudgetExceeded
 
 _GUARD_BITS = 8
 
@@ -27,9 +27,8 @@ class CrtBasis:
     """Precomputed data shared by every coefficient lift.
 
     inverses[i] is (M/m_i)^(-1) mod m_i. M itself is never formed; only
-    M mod n and each (M/m_i) mod n are kept. When some modulus shares a
-    factor with n the per-modulus division by m_i mod n is impossible and
-    the products are taken directly instead; `direct_fallback` records that.
+    M mod n and each (M/m_i) mod n are kept, the latter from prefix and
+    suffix products, so no modulus needs to be invertible mod n.
     """
 
     moduli: tuple[int, ...]
@@ -39,7 +38,6 @@ class CrtBasis:
     M_mod_n: int
     M_i_mod_n: tuple[int, ...]
     scale_bits: int
-    direct_fallback: bool = False
 
 
 def _check_residues(basis: CrtBasis, residues: Sequence[int]) -> None:
@@ -50,19 +48,9 @@ def _check_residues(basis: CrtBasis, residues: Sequence[int]) -> None:
             raise ValueError(f"residue {x} not reduced mod {m}")
 
 
-def build_basis(
-    moduli: Sequence[int],
-    n: int,
-    epsilon: float = 0.001,
-    *,
-    strict: bool = False,
-) -> CrtBasis:
+def build_basis(moduli: Sequence[int], n: int, epsilon: float = 0.001) -> CrtBasis:
     """Precompute inverses and mod-n data for the given pairwise coprime
-    moduli.
-
-    With strict=True a modulus sharing a factor with n raises
-    ModulusDividesN instead of triggering the direct-product fallback.
-    """
+    moduli."""
     moduli = tuple(moduli)
     if not moduli:
         raise ValueError("at least one modulus required")
@@ -86,27 +74,14 @@ def build_basis(
                 prod_i = prod_i * (other % m) % m
         inverses.append(mod_inverse(prod_i, m))
 
-    M_mod_n = 1
-    for m in moduli:
-        M_mod_n = M_mod_n * (m % n) % n
-
-    direct = any(math.gcd(m, n) != 1 for m in moduli)
-    if direct and strict:
-        bad = next(m for m in moduli if math.gcd(m, n) != 1)
-        raise ModulusDividesN(f"modulus {bad} shares a factor with n = {n}")
-    if direct:
-        # prefix/suffix products give every M_i mod n without any inversion
-        prefix = [1] * (ell + 1)
-        for i, m in enumerate(moduli):
-            prefix[i + 1] = prefix[i] * (m % n) % n
-        suffix = [1] * (ell + 1)
-        for i in range(ell - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * (moduli[i] % n) % n
-        M_i_mod_n = tuple(prefix[i] * suffix[i + 1] % n for i in range(ell))
-    else:
-        M_i_mod_n = tuple(
-            M_mod_n * mod_inverse(m % n, n) % n for m in moduli
-        )
+    # prefix/suffix products give every M_i mod n without any inversion
+    prefix = [1] * (ell + 1)
+    for i, m in enumerate(moduli):
+        prefix[i + 1] = prefix[i] * (m % n) % n
+    suffix = [1] * (ell + 1)
+    for i in range(ell - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * (moduli[i] % n) % n
+    M_i_mod_n = tuple(prefix[i] * suffix[i + 1] % n for i in range(ell))
 
     scale_bits = max(0, math.ceil(math.log2(ell / epsilon))) + _GUARD_BITS
     return CrtBasis(
@@ -114,10 +89,9 @@ def build_basis(
         inverses=tuple(inverses),
         n=n,
         epsilon=epsilon,
-        M_mod_n=M_mod_n,
+        M_mod_n=prefix[ell],
         M_i_mod_n=M_i_mod_n,
         scale_bits=scale_bits,
-        direct_fallback=direct,
     )
 
 
@@ -137,21 +111,20 @@ def round_quotient(basis: CrtBasis, residues: Sequence[int]) -> int:
         raise PrecisionBudgetExceeded(
             f"{ell} terms at {s} fractional bits exceed epsilon = {basis.epsilon}"
         )
-    total = FixedPoint(0, s)
-    for a, x, m in zip(basis.inverses, residues, basis.moduli):
-        total = total.add(FixedPoint.from_ratio(a * x, m, s))
-    return (total.mantissa + (1 << (s - 1))) >> s
+    total = sum(
+        (a * x << s) // m for a, x, m in zip(basis.inverses, residues, basis.moduli)
+    )
+    return (total + (1 << (s - 1))) >> s
 
 
 def crt_mod_n(basis: CrtBasis, residues: Sequence[int]) -> int:
     """The unique x with |x| < (1/2 - epsilon) M matching the residues,
     reduced into [0, n)."""
-    _check_residues(basis, residues)
+    r = round_quotient(basis, residues)  # validates the residues
     n = basis.n
     acc = 0
     for a, x, mi_mod_n in zip(basis.inverses, residues, basis.M_i_mod_n):
         acc = (acc + (a * x % n) * mi_mod_n) % n
-    r = round_quotient(basis, residues)
     return (acc - (r % n) * basis.M_mod_n) % n
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .arith import isqrt, legendre, sqrt_mod_p
-from .errors import Ambiguous, NotANonResidue, SpecialJ, TooLarge
+from .errors import Ambiguous, InvariantViolation, NotANonResidue, SpecialJ, TooLarge
 
 Point = Optional[tuple[int, int]]
 
@@ -218,7 +218,8 @@ def point_count_naive(E: CurveModP, cap: int = NAIVE_COUNT_CAP) -> int:
         acc += tbl[(x * x % p * x + a4 * x + a6) % p]
     n = 1 + acc  # sum(chi + 1) over p values folds p into the constant
     lo, hi = hasse_interval(p)
-    assert lo <= n <= hi, "point count escaped the Hasse interval"
+    if not lo <= n <= hi:
+        raise InvariantViolation(f"point count {n} escaped the Hasse interval of {p}")
     return n
 
 
@@ -237,11 +238,10 @@ def _annihilators_in_window(
             return list(range(first, lo + width, jj))
         if q is not None:
             baby[q] = jj
-        q = (P if q is None else _add_points(p, a4, q, P))
+        q = point_add(E, q, P)
     # find k in [0, width): [k]P = -[lo]P, k = i*step + jj
-    target = _mul_raw(p, a4, P[0], P[1], lo)
-    target = None if target is None else (target[0], -target[1] % p)
-    giant = _mul_raw(p, a4, P[0], P[1], step)
+    target = point_neg(E, _mul_raw(p, a4, P[0], P[1], lo))
+    neg_giant = point_neg(E, _mul_raw(p, a4, P[0], P[1], step))
     out = []
     cur = target
     for i in range(width // step + 2):
@@ -252,29 +252,8 @@ def _annihilators_in_window(
             jj = baby.get(cur)
             if jj is not None and i * step + jj < width:
                 out.append(lo + i * step + jj)
-        cur = _sub_point(p, a4, cur, giant)
+        cur = point_add(E, cur, neg_giant)
     return sorted(out)
-
-
-def _add_points(p, a4, P, Q):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
-
-
-def _sub_point(p, a4, P, Q):
-    return _add_points(p, a4, P, None if Q is None else (Q[0], -Q[1] % p))
 
 
 def point_count_bsgs(
@@ -309,7 +288,8 @@ def point_count_bsgs(
                 if _mul_raw(C.p, C.a4, P[0], P[1], mm) is None:
                     keep.append(m)
             candidates = keep
-        assert candidates, "true group order eliminated; counting bug"
+        if not candidates:
+            raise InvariantViolation(f"every candidate order mod {p} was eliminated")
         if len(candidates) == 1:
             return candidates[0]
     raise Ambiguous(

@@ -58,14 +58,6 @@ class NotCoprime(DomainError):
     """Two CRT moduli share a common factor."""
 
 
-class ModulusDividesN(DomainError):
-    """A CRT modulus shares a factor with the target modulus n.
-
-    Only raised in strict mode; the default basis construction falls back
-    to direct products and flags the basis instead.
-    """
-
-
 class PrecisionBudgetExceeded(DomainError):
     """Fixed-point error budget would exceed epsilon (internal assertion)."""
 
@@ -80,3 +72,12 @@ class ZeroTrace(DomainError):
 
 class NoRoot(DomainError):
     """Polynomial has no root in the prime field."""
+
+
+class InvariantViolation(DomainError):
+    """A result the algorithm guarantees failed its check, e.g. a point
+    count outside the Hasse interval or a division that was not exact.
+
+    For a prime modulus this means a bug; these checks stay active under
+    python -O, unlike assert.
+    """

@@ -147,16 +147,14 @@ def test_criterion_04_small_shards(disc59):
     with criterion(4, "class polynomial shards match the golden rows", 10.0):
         for p, coeffs in D59_SHARD_TABLE.items():
             t = math.isqrt(4 * p - 59)
-            shard = build_shard(disc59, CrtPrime(p=p, t=t), method="naive")
+            shard = build_shard(disc59, CrtPrime(p=p, t=t))
             assert shard.poly.coeffs == coeffs, f"shard mismatch at p={p}"
 
 
 def test_criterion_05_big_shard(disc_big):
     jobs = 8
     with criterion(5, f"degree-96 shard at p = {BIG_P} (jobs={jobs})", 600.0):
-        js = find_j_invariants(
-            disc_big, CrtPrime(p=BIG_P, t=BIG_T), jobs=jobs, seed=0
-        )
+        js = find_j_invariants(disc_big, CrtPrime(p=BIG_P, t=BIG_T), jobs=jobs)
         assert js == BIG_J_SET
         poly = poly_from_roots(js, BIG_P)
         for degree, value in BIG_COEFF_CHECKS.items():

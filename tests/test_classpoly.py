@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cmcurve import classpoly
 from cmcurve.classpoly import (
     PolyModM,
     build_shard,
@@ -62,10 +63,14 @@ def test_find_j_invariants_golden_rows():
 
 
 def test_find_j_invariants_without_prefilter_agrees():
-    disc = discriminant(-59)
-    direct = find_j_invariants(disc, CrtPrime(197, 27), prefilter=False)
-    filtered = find_j_invariants(disc, CrtPrime(197, 27), prefilter=True)
-    assert direct == filtered == [71, 130, 195]
+    # brute force: exact count of every j in F_197 other than 0 and 1728
+    p, t = 197, 27
+    brute = [
+        j for j in range(1, p)
+        if j != 1728 % p
+        and point_count_naive(curve_from_j(j, p)) in (p + 1 - t, p + 1 + t)
+    ]
+    assert find_j_invariants(discriminant(-59), CrtPrime(p, t)) == brute == [71, 130, 195]
 
 
 def test_find_j_invariants_rejects_mismatched_prime():
@@ -153,11 +158,21 @@ def test_build_shards_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_seed_changes_nothing_in_output():
+def test_build_shards_saves_each_shard_before_the_next(tmp_path, monkeypatch):
     disc = discriminant(-59)
-    a = build_shard(disc, CrtPrime(197, 27), seed=0)
-    b = build_shard(disc, CrtPrime(197, 27), seed=12345)
-    assert a == b
+    primes = find_crt_primes(disc).primes
+    real = classpoly.find_j_invariants
+
+    def fail_at_fourth(disc, cp, **kwargs):
+        if cp.p == primes[3].p:
+            raise WrongCount("interrupted")
+        return real(disc, cp, **kwargs)
+
+    monkeypatch.setattr(classpoly, "find_j_invariants", fail_at_fourth)
+    with pytest.raises(WrongCount):
+        build_shards(disc, primes, cache_dir=tmp_path)
+    saved = [shard_path(tmp_path, disc.D, cp.p).exists() for cp in primes]
+    assert saved == [True] * 3 + [False] * 5
 
 
 def test_integer_reconstruction_reduces_back_to_every_shard():

@@ -35,6 +35,8 @@ def test_primes_json():
     assert [p for p, _ in doc["primes"]] == [
         "17", "71", "197", "521", "827", "1907", "3797", "5417",
     ]
+    assert doc["count"] == "8"
+    assert "count_times_logd_over_logB" in doc
 
 
 def test_count_command():
@@ -125,16 +127,6 @@ def test_verify_command():
         "verify", "-n", "141767", "-N", "141015", "--a4", "39103", "--a6", "120580", "--json"
     )
     assert code == 1
-
-
-def test_bench_reports_ratios():
-    code, out = run_cli("bench", "-D", "-59", "-n", "141767", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["prime_count"] == "8"
-    assert "count_times_logd_over_logB" in doc
-    assert doc["coeffs"] == ["48400", "73152", "31177", "1"]
-    assert "wall_times" in doc
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cmcurve.classpoly import PolyModM
@@ -165,3 +170,25 @@ def test_verify_twist_pair():
 
     T = quadratic_twist(E, smallest_nonresidue(141767))
     assert verify_order(T, 141015)
+
+
+def test_inexact_division_raises_under_python_O():
+    # (X^2 + 1) / (X + 1) leaves remainder 2 mod 7; the check must not be
+    # an assert, which python -O strips
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from cmcurve.cm import _pdiv_exact\n"
+        "from cmcurve.errors import DomainError\n"
+        "try:\n"
+        "    q = _pdiv_exact([1, 0, 1], [1, 1], 7)\n"
+        "except DomainError:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('returned', q)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout == "raised\n"

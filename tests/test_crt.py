@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcurve.crt import build_basis, crt_integer, crt_mod_n, round_quotient
-from cmcurve.errors import ModulusDividesN, NotCoprime
+from cmcurve.errors import NotCoprime
 
 D59_MODULI = [17, 71, 197, 521, 827, 1907, 3797, 5417]
 # shard coefficient residues for D = -59, low degree first; the last entry
@@ -37,7 +37,6 @@ def test_build_basis_example():
     assert basis.inverses == (2, 2)
     assert basis.M_mod_n == 15 % 11
     assert basis.M_i_mod_n == (5, 3)
-    assert not basis.direct_fallback
 
 
 def test_build_basis_single_modulus():
@@ -52,11 +51,9 @@ def test_build_basis_rejects_shared_factor():
 
 
 def test_build_basis_fallback_when_modulus_hits_n():
+    # 11 has no inverse mod n = 11; prefix/suffix products need none
     basis = build_basis([3, 5, 11], 11)
-    assert basis.direct_fallback
     assert basis.M_i_mod_n == (5 * 11 % 11, 3 * 11 % 11, 15 % 11)
-    with pytest.raises(ModulusDividesN):
-        build_basis([3, 5, 11], 11, strict=True)
 
 
 def test_round_quotient_small_case():

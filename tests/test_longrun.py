@@ -27,10 +27,8 @@ def test_full_shard_set_lift_reproduces_basis_shard():
     disc = discriminant(-832603)
     prime_set = find_crt_primes(disc)
     assert len(prime_set.primes) == 410
-    shards = build_shards(
-        disc, prime_set.primes, jobs=jobs, cache_dir=cache, seed=0
-    )
+    shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache)
     target = shards[-1]
     assert target.p == 1434707
-    poly = hilbert_mod_n(disc, target.p, jobs=jobs, cache_dir=cache, seed=0)
+    poly = hilbert_mod_n(disc, target.p, jobs=jobs, cache_dir=cache)
     assert poly.coeffs == target.poly.coeffs
