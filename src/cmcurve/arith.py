@@ -90,11 +90,13 @@ def sqrt_mod_p(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) == -1:
-        raise NotASquare(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         y = pow(a, (p + 1) // 4, p)
+        if y * y % p != a:
+            raise NotASquare(f"{a} is not a square mod {p}")
         return min(y, p - y)
+    if legendre(a, p) == -1:
+        raise NotASquare(f"{a} is not a square mod {p}")
     # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .arith import sqrt_mod_p, task_rng
 from .curves import (
-    NAIVE_COUNT_CAP,
+    EXHAUSTIVE_COUNT_MAX,
     CurveModP,
     OrderVerdict,
     _mul_raw,
@@ -101,7 +101,7 @@ _SCAN_SEED = 0
 
 def _exact_count(p: int, a4: int, a6: int, j: int) -> int:
     E = CurveModP(p=p, a4=a4, a6=a6, j=j)
-    if p <= NAIVE_COUNT_CAP:
+    if p <= EXHAUSTIVE_COUNT_MAX:
         return point_count_naive(E)
     return point_count_bsgs(E, rng=task_rng(_SCAN_SEED, "count", p, j))
 

@@ -17,6 +17,7 @@ from .arith import is_prime, task_rng
 from .classpoly import PolyModM, build_shards
 from .crt import build_basis, crt_mod_n
 from .curves import (
+    EXHAUSTIVE_COUNT_MAX,
     NAIVE_COUNT_CAP,
     CurveModP,
     OrderVerdict,
@@ -255,13 +256,12 @@ def verify_order(
     *,
     samples: int = 16,
     rng: random.Random | None = None,
-    naive_cap: int = NAIVE_COUNT_CAP,
 ) -> bool:
     """Check #E(F_p) = N.
 
-    Random points must all be annihilated by N while the complementary
-    candidate N' = 2p + 2 - N fails on at least one of them; for fields
-    small enough to count exhaustively the exact count decides.
+    For fields up to NAIVE_COUNT_CAP an exact count decides. Above it,
+    random points must all be annihilated by N while the complementary
+    candidate N' = 2p + 2 - N fails on at least one of them.
     """
     p = E.p
     lo, hi = hasse_interval(p)
@@ -269,9 +269,8 @@ def verify_order(
         raise ValueError("order to verify must lie in the Hasse interval")
     if rng is None:
         rng = random.Random(0)
-    if p <= naive_cap:
-        exact = point_count_naive(E, cap=naive_cap)
-        if exact != N:
+    if p <= NAIVE_COUNT_CAP:
+        if _exact_order(E, rng) != N:
             return False
         if scalar_mul(E, random_point(E, rng), N) is not None:
             raise InvariantViolation(f"exact count {N} does not annihilate a point")
@@ -288,7 +287,7 @@ def verify_order(
 
 
 def _exact_order(E: CurveModP, rng) -> int:
-    if E.p <= NAIVE_COUNT_CAP:
+    if E.p <= EXHAUSTIVE_COUNT_MAX:
         return point_count_naive(E)
     return point_count_bsgs(E, rng=rng)
 
@@ -371,7 +370,7 @@ def construct_curve(
     wanted = (
         OrderVerdict.MATCHES_MINUS if params.t > 0 else OrderVerdict.MATCHES_PLUS
     )
-    verdict = order_filter(E, t_abs, samples=16, rng=task_rng(seed, "branch", n))
+    verdict = order_filter(E, t_abs, rng=task_rng(seed, "branch", n))
     if verdict is OrderVerdict.INCONCLUSIVE:
         exact = _exact_order(E, task_rng(seed, "order", n))
         verdict = (

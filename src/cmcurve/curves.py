@@ -14,11 +14,21 @@ from enum import Enum
 from typing import Optional
 
 from .arith import isqrt, legendre, sqrt_mod_p
-from .errors import Ambiguous, InvariantViolation, NotANonResidue, SpecialJ, TooLarge
+from .errors import (
+    Ambiguous,
+    InvariantViolation,
+    NotANonResidue,
+    NotASquare,
+    SpecialJ,
+    TooLarge,
+)
 
 Point = Optional[tuple[int, int]]
 
 NAIVE_COUNT_CAP = 1 << 26
+# Exact counts sum the quadratic character up to this field size and use
+# baby-step giant-step above it, where BSGS is already the faster of the two.
+EXHAUSTIVE_COUNT_MAX = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -107,39 +117,55 @@ def point_add(E: CurveModP, P: Point, Q: Point) -> Point:
 
 
 def _mul_raw(p: int, a4: int, x: int, y: int, m: int) -> tuple[int, int] | None:
-    """[m](x, y) by double-and-add on raw coordinates (hot path)."""
-    rx = ry = None
-    bx, by = x, y
-    base_inf = False
-    while m:
-        if m & 1:
-            if base_inf:
-                pass
-            elif rx is None:
-                rx, ry = bx, by
-            elif rx == bx:
-                if (ry + by) % p == 0:
-                    rx = ry = None
+    """[m](x, y) for m >= 0 (hot path).
+
+    Left-to-right double-and-add in Jacobian coordinates, (X : Y : Z)
+    standing for (X/Z^2, Y/Z^3) and Z = 0 for the point at infinity. The
+    affine base is added by mixed addition, so the only inversion is the
+    one that returns the result to affine coordinates.
+    """
+    if m == 0:
+        return None
+    X, Y, Z = x, y, 1
+    for bit in bin(m)[3:]:
+        YY = Y * Y % p
+        S = 4 * X * YY % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + a4 * ZZ * ZZ) % p
+        X = (M * M - 2 * S) % p
+        Z = 2 * Y * Z % p
+        Y = (M * (S - X) - 8 * YY * YY) % p
+        if bit == "1":
+            if Z == 0:
+                X, Y, Z = x, y, 1
+                continue
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            r = (y * ZZ * Z - Y) % p
+            if H == 0:
+                # The sum is O when the accumulator is -(x, y) or (x, y) has
+                # order 2; otherwise it is [2](x, y), doubled from Z = 1.
+                if r or y == 0:
+                    Z = 0
                 else:
-                    lam = (3 * bx * bx + a4) * pow(2 * by, -1, p) % p
-                    x3 = (lam * lam - 2 * bx) % p
-                    ry = (lam * (bx - x3) - by) % p
-                    rx = x3
-            else:
-                lam = (by - ry) * pow(bx - rx, -1, p) % p
-                x3 = (lam * lam - rx - bx) % p
-                ry = (lam * (rx - x3) - ry) % p
-                rx = x3
-        m >>= 1
-        if m and not base_inf:
-            if by == 0:
-                base_inf = True
-            else:
-                lam = (3 * bx * bx + a4) * pow(2 * by, -1, p) % p
-                x3 = (lam * lam - 2 * bx) % p
-                by = (lam * (bx - x3) - by) % p
-                bx = x3
-    return None if rx is None else (rx, ry)
+                    YY = y * y % p
+                    S = 4 * x * YY % p
+                    M = (3 * x * x + a4) % p
+                    X = (M * M - 2 * S) % p
+                    Y = (M * (S - X) - 8 * YY * YY) % p
+                    Z = 2 * y % p
+                continue
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X = (r * r - HHH - 2 * V) % p
+            Y = (r * (V - X) - Y * HHH) % p
+            Z = Z * H % p
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return (X * zi2 % p, Y * zi2 * zi % p)
 
 
 def scalar_mul(E: CurveModP, P: Point, m: int) -> Point:
@@ -157,8 +183,10 @@ def random_point(E: CurveModP, rng: random.Random) -> Point:
     while True:
         x = rng.randrange(p)
         rhs = (x * x % p * x + E.a4 * x + E.a6) % p
-        if legendre(rhs, p) != -1:
+        try:
             return (x, sqrt_mod_p(rhs, p))
+        except NotASquare:
+            pass
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -298,16 +326,18 @@ def point_count_bsgs(
 
 
 def order_filter(
-    E: CurveModP, t: int, *, samples: int = 4, rng: random.Random | None = None
+    E: CurveModP, t: int, *, rng: random.Random | None = None
 ) -> OrderVerdict:
     """Cheap probabilistic test of whether #E is p + 1 - t or p + 1 + t.
 
-    For each sampled point P we compare [p+1]P against [t]P: equality means
-    p + 1 - t annihilates P, opposition means p + 1 + t does. NEITHER is
-    exact (a point not annihilated by a candidate rules that order out);
-    the MATCHES verdicts are probabilistic and get confirmed by an exact
-    count downstream. INCONCLUSIVE means both candidates annihilated every
-    sample.
+    For each of four sampled points P we compare [p+1]P against [t]P:
+    equality means p + 1 - t annihilates P, opposition means p + 1 + t
+    does. NEITHER is exact (a point not annihilated by a candidate rules
+    that order out); the MATCHES verdicts are probabilistic and get
+    confirmed by an exact count downstream. INCONCLUSIVE means both
+    candidates annihilated every sample. When #E is known to be one of the
+    two, the true one annihilates every point, so a MATCHES verdict is
+    then never the wrong branch.
     """
     p = E.p
     if not 0 < t <= isqrt(4 * p):
@@ -315,7 +345,7 @@ def order_filter(
     if rng is None:
         rng = random.Random(0)
     minus_ok = plus_ok = True
-    for _ in range(samples):
+    for _ in range(4):
         x, y = random_point(E, rng)
         a = _mul_raw(p, E.a4, x, y, p + 1)
         b = _mul_raw(p, E.a4, x, y, t)

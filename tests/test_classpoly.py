@@ -158,6 +158,15 @@ def test_build_shards_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_find_j_invariants_chunked_pool_matches_serial():
+    # p = 73727 is above the 2^16 threshold, so jobs=2 scans j-range chunks
+    # in a process pool
+    disc, cp = discriminant(-59), CrtPrime(p=73727, t=543)
+    serial = find_j_invariants(disc, cp, jobs=1)
+    assert serial == [3048, 33749, 53326]
+    assert find_j_invariants(disc, cp, jobs=2) == serial
+
+
 def test_build_shards_saves_each_shard_before_the_next(tmp_path, monkeypatch):
     disc = discriminant(-59)
     primes = find_crt_primes(disc).primes

@@ -14,7 +14,17 @@ from cmcurve.cm import (
     hilbert_mod_n,
     verify_order,
 )
-from cmcurve.curves import curve, curve_from_j, point_count_naive, quadratic_twist
+from cmcurve.arith import is_prime, task_rng
+from cmcurve.curves import (
+    curve,
+    curve_from_j,
+    point_add,
+    point_count_bsgs,
+    point_count_naive,
+    quadratic_twist,
+    random_point,
+    scalar_mul,
+)
 from cmcurve.errors import NoRoot, NotFundamental, OutsideHasse, ZeroTrace
 
 N59 = 141767
@@ -144,6 +154,23 @@ def test_construct_curve_medium_example():
     assert point_count_naive(result.curve) == n + 1 - t == 1016074
 
 
+def test_construct_curve_256_bit_scalar_mul():
+    # 4n = t^2 + 59 with n a 256-bit prime; N = n + 1 + t is the twist branch
+    t = 510423550381407695195061911147652317643
+    n = (t * t + 59) // 4
+    N = n + 1 + t
+    assert is_prime(n) and n.bit_length() == 256
+    E = construct_curve(n, N).curve
+    rng = task_rng("scalar_mul", 256)
+    P = random_point(E, rng)
+    assert scalar_mul(E, P, N) is None
+    assert scalar_mul(E, P, N + 1) == P
+    for _ in range(8):
+        a, b = rng.randrange(2 * n), rng.randrange(2 * n)
+        left = scalar_mul(E, P, a + b)
+        assert left == point_add(E, scalar_mul(E, P, a), scalar_mul(E, P, b))
+
+
 def test_verify_order_golden_curve():
     E = curve(141767, 39103, 120580)
     assert verify_order(E, 142521)
@@ -151,11 +178,13 @@ def test_verify_order_golden_curve():
 
 
 def test_verify_order_large_field_sampling_path():
-    # prime above the naive cap: only the sampling route is available
-    E = curve_from_j(2, 141767)
-    n_true = point_count_naive(E)
-    assert verify_order(E, n_true, naive_cap=10 ** 4)
-    assert not verify_order(E, 2 * 141767 + 2 - n_true, naive_cap=10 ** 4)
+    # prime above NAIVE_COUNT_CAP = 2^26: only the sampling route is taken
+    p = 67108879
+    E = curve_from_j(2, p)
+    n_true = point_count_bsgs(E, rng=task_rng(0))
+    assert n_true == 67112568
+    assert verify_order(E, n_true)
+    assert not verify_order(E, 2 * p + 2 - n_true)
 
 
 def test_verify_order_requires_hasse():

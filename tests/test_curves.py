@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cmcurve.arith import is_prime, isqrt, task_rng
 from cmcurve.curves import (
+    EXHAUSTIVE_COUNT_MAX,
     CurveModP,
     OrderVerdict,
     curve,
@@ -133,6 +134,20 @@ def test_bsgs_equals_naive_on_random_curves():
         checked += 1
 
 
+def test_bsgs_equals_exhaustive_for_every_j_above_the_switch():
+    # 1031 is the first prime above EXHAUSTIVE_COUNT_MAX, where exact counts
+    # move from the exhaustive sum to BSGS; each j is checked with its twist
+    p = 1031
+    assert p > EXHAUSTIVE_COUNT_MAX and is_prime(p)
+    c = smallest_nonresidue(p)
+    models = [curve(p, 0, 1), curve(p, 1, 0)]
+    models += [curve_from_j(j, p) for j in range(1, p) if j != 1728 % p]
+    for E in models:
+        for C in (E, quadratic_twist(E, c)):
+            rng = task_rng("switch", C.a4, C.a6)
+            assert point_count_bsgs(C, rng=rng) == point_count_naive(C)
+
+
 def test_bsgs_golden_curves():
     E = curve_from_j(118481, 141767)
     assert point_count_bsgs(E, rng=task_rng(0)) == 142521
@@ -166,7 +181,7 @@ def test_order_filter_never_false_negative():
         t = p + 1 - n
         if t == 0 or abs(t) > isqrt(4 * p):
             continue
-        verdict = order_filter(E, abs(t), samples=4, rng=task_rng(rng.random()))
+        verdict = order_filter(E, abs(t), rng=task_rng(rng.random()))
         assert verdict is not OrderVerdict.NEITHER
 
 
@@ -220,6 +235,27 @@ def test_scalar_mul_distributes(a, b, seed):
     assert left == right
 
 
+@pytest.mark.parametrize("p", [13, 17, 101, 211])
+def test_scalar_mul_matches_repeated_addition_on_every_point(p):
+    # a4 = 0, a6 = 0 (with the 2-torsion point (0, 0)) and a generic curve;
+    # m runs over [0, 2p + 6], past ord(P) <= p + 1 + 2 sqrt(p) for every P.
+    orders = set()
+    for a4, a6 in ((0, 5), (3, 0), (1, 1)):
+        E = curve(p, a4, a6)
+        points = [(x, y) for x in range(p) for y in range(p) if is_on_curve(E, (x, y))]
+        for P in points:
+            Q, order = None, None
+            for m in range(2 * p + 7):
+                assert scalar_mul(E, P, m) == Q, (a4, a6, P, m)
+                Q = point_add(E, Q, P)
+                if Q is None and order is None:
+                    order = m + 1
+            orders.add(order)
+    # orders 2 and 3 reach the kernel's doubling of a 2-torsion point and
+    # its mixed addition of the base to itself
+    assert {2, 3} <= orders
+
+
 def test_random_point_always_on_curve_and_affine():
     E = curve_from_j(2, 17)
     rng = task_rng(5)
@@ -234,6 +270,11 @@ def test_random_point_seeded_is_deterministic():
     pts_a = [random_point(E, task_rng(9, i)) for i in range(5)]
     pts_b = [random_point(E, task_rng(9, i)) for i in range(5)]
     assert pts_a == pts_b
+    # pinned draws, for p = 3 and p = 1 (mod 4)
+    assert pts_a[:3] == [(118054, 60814), (90329, 25947), (19027, 48027)]
+    E = curve_from_j(7, 65537)
+    pts = [random_point(E, task_rng(9, i)) for i in range(3)]
+    assert pts == [(58888, 29856), (45164, 19262), (18246, 25762)]
 
 
 def test_random_point_tiny_curve_hits_known_points():
