@@ -8,6 +8,7 @@ wherever a real number has to be computed with an explicit error budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -81,6 +82,15 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+@functools.lru_cache(maxsize=8)
+def smallest_nonresidue(p: int) -> int:
+    """Smallest quadratic non-residue mod an odd prime p, cached per p."""
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    return z
+
+
 def sqrt_mod_p(a: int, p: int) -> int:
     """Square root of a modulo an odd prime p, canonical smaller root.
 
@@ -95,25 +105,23 @@ def sqrt_mod_p(a: int, p: int) -> int:
         if y * y % p != a:
             raise NotASquare(f"{a} is not a square mod {p}")
         return min(y, p - y)
-    if legendre(a, p) == -1:
-        raise NotASquare(f"{a} is not a square mod {p}")
     # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    y = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
+    c = pow(smallest_nonresidue(p), q, p)
+    w = pow(a, (q - 1) // 2, p)
+    y = a * w % p  # a^((q+1)/2)
+    t = y * w % p  # a^q
     m = s
     while t != 1:
         t2, i = t * t % p, 1
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:  # t of order 2^m: only a non-residue a gets here
+            raise NotASquare(f"{a} is not a square mod {p}")
         b = pow(c, 1 << (m - i - 1), p)
         y = y * b % p
         c = b * b % p

@@ -1,12 +1,26 @@
 """Per-prime class polynomial shards.
 
 For a prime p with 4p = t^2 + d, exactly h of the j-invariants over F_p
-belong to curves with p + 1 - t or p + 1 + t points. Scanning all j with a
-one-point annihilation probe throws out almost everything cheaply; the few
-survivors are re-checked with the multi-point filter and then an exact
-count. The h roots found this way assemble into the monic shard polynomial
-prod (X - j) mod p, which is what later gets lifted coefficient by
-coefficient.
+belong to curves with p + 1 - t or p + 1 + t points. The scan tries every
+j other than 0 and 1728 on the model y^2 = x^3 + a4 x + a6 with
+k = 1728 - j, a4 = 3jk and a6 = 2jk^2, a twist of the `curve_from_j` model
+that needs no inversion. Twists swap p + 1 - t and p + 1 + t, so each test
+below may work on any twist:
+
+- a 2-torsion character test, one table lookup. The cubic's discriminant
+  is -(432jk)^2 k, so it has exactly one root, a point of order 2, iff
+  chi(j - 1728) = -1. An odd order has no such point and an order of
+  2 (mod 4) has exactly one, so half of all j go here;
+- a one-point probe with no random numbers and no square root.
+  With c = 1 + a4 + a6, Q = (c, c^2) lies on the twist by c,
+  y^2 = x^3 + a4 c^2 x + a6 c^3, and x([p+1]Q) = x([t]Q) holds iff
+  p + 1 - t or p + 1 + t kills Q. For c = 0, (1, 0) has order 2 and the
+  j goes on untested;
+- the four-point order filter and an exact count for the few survivors.
+
+The h roots assemble into the monic shard polynomial prod (X - j) mod p,
+which is what later gets lifted coefficient by coefficient. A cached shard
+is checked on load with the first two tests, h probes in all.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import sqrt_mod_p, task_rng
+from .arith import legendre, task_rng
 from .curves import (
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,
@@ -94,53 +108,52 @@ def poly_from_roots(roots, m: int) -> PolyModM:
 # j-invariant scan
 # ---------------------------------------------------------------------------
 
-# Key of the scan's probe points. A shard depends only on (D, p, t): every
-# candidate is confirmed by an exact count, so the probes need no run seed.
+# Key of the random points of the scan's order filter and exact counts. A
+# shard depends only on (D, p, t), since every j is confirmed by an exact
+# count, so these points need no run seed.
 _SCAN_SEED = 0
 
 
-def _exact_count(p: int, a4: int, a6: int, j: int) -> int:
-    E = CurveModP(p=p, a4=a4, a6=a6, j=j)
-    if p <= EXHAUSTIVE_COUNT_MAX:
-        return point_count_naive(E)
-    return point_count_bsgs(E, rng=task_rng(_SCAN_SEED, "count", p, j))
+def _root_classes(p: int, t: int) -> tuple[int, ...]:
+    """The values of residue_table(p)[j - 1728] that the 2-torsion character
+    test lets through; never 1, so j = 1728 is always out."""
+    if t % 2:
+        return (2,)
+    return (0,) if (p + 1 - t) % 4 == 2 else (0, 2)
+
+
+def _probe(p: int, t: int, j: int) -> tuple[int, int] | None:
+    """The scan model (a4, a6) of j != 0, 1728 if it passes the one-point
+    probe, or None: then no twist of it has p + 1 +- t points."""
+    k = 1728 - j
+    a4, a6 = 3 * j * k % p, 2 * j * k * k % p
+    c = (1 + a4 + a6) % p
+    if c:
+        a4c, cc = a4 * c * c % p, c * c % p
+        a = _mul_raw(p, a4c, c, cc, p + 1)
+        b = _mul_raw(p, a4c, c, cc, t)
+        if (a and a[0]) != (b and b[0]):  # x-coordinates, None standing for O
+            return None
+    return a4, a6
 
 
 def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
     """Confirmed j-invariants in [lo, hi) whose curve order is p + 1 +- t."""
-    tbl = residue_table(p)
-    n_minus, n_plus = p + 1 - t, p + 1 + t
-    sqrt_exp = (p + 1) // 4 if p % 4 == 3 else None
-    special = 1728 % p
+    tbl, classes = residue_table(p), _root_classes(p, t)
     out = []
     for j in range(max(lo, 1), hi):
-        if j == special:
+        model = _probe(p, t, j) if tbl[(j - 1728) % p] in classes else None
+        if model is None:
             continue
-        k = j * pow((1728 - j) % p, -1, p) % p
-        a4 = 3 * k % p
-        a6 = 2 * k % p
-        rng = task_rng(_SCAN_SEED, p, j)
-        while True:
-            x = rng.randrange(p)
-            rhs = (x * x % p * x + a4 * x + a6) % p
-            if tbl[rhs]:
-                break
-        if sqrt_exp is not None:
-            y = pow(rhs, sqrt_exp, p)
+        E = CurveModP(p, *model, j)
+        rng = task_rng(_SCAN_SEED, "flt", p, j)
+        if order_filter(E, t, rng=rng) is OrderVerdict.NEITHER:
+            continue
+        if p <= EXHAUSTIVE_COUNT_MAX:
+            n = point_count_naive(E)
         else:
-            y = sqrt_mod_p(rhs, p)
-        a = _mul_raw(p, a4, x, y, p + 1)
-        b = _mul_raw(p, a4, x, y, t)
-        if a is None or b is None:
-            if a is not b:
-                continue  # annihilated by neither candidate
-        elif a[0] != b[0]:
-            continue
-        E = CurveModP(p=p, a4=a4, a6=a6, j=j)
-        verdict = order_filter(E, t, rng=task_rng(_SCAN_SEED, "flt", p, j))
-        if verdict is OrderVerdict.NEITHER:
-            continue
-        if _exact_count(p, a4, a6, j) in (n_minus, n_plus):
+            n = point_count_bsgs(E, rng=task_rng(_SCAN_SEED, "count", p, j))
+        if n in (p + 1 - t, p + 1 + t):
             out.append(j)
     return out
 
@@ -237,7 +250,27 @@ def save_shard(shard: Shard, cache_dir) -> Path:
 
 
 def load_shard(path) -> Shard:
-    return shard_from_json(Path(path).read_text())
+    """Read a cached shard and check it, raising a ValueError naming the file.
+
+    Besides the file agreeing with itself (see shard_from_json), the trace
+    must fit 4p = t^2 - D and the j must be distinct, each passing the
+    scan's character test and probe.
+    """
+    try:
+        shard = shard_from_json(Path(path).read_text())
+        p, t = shard.p, shard.t
+        if t <= 0 or 4 * p != t * t - shard.D:
+            raise ValueError(f"4p = t^2 - D fails for p = {p}, t = {t}")
+        if len(set(shard.j_set)) != shard.h:
+            raise ValueError("repeated j-invariants")
+        classes = _root_classes(p, t)
+        for j in shard.j_set:
+            allowed = legendre(j - 1728, p) + 1 in classes
+            if j == 0 or not allowed or _probe(p, t, j) is None:
+                raise ValueError(f"j = {j} is not a root mod {p}")
+    except ValueError as exc:
+        raise ValueError(f"cached shard {path}: {exc}") from None
+    return shard
 
 
 def build_shards(
@@ -255,7 +288,7 @@ def build_shards(
         path = None if cache_dir is None else shard_path(cache_dir, disc.D, cp.p)
         if path is not None and path.exists():
             shard = load_shard(path)
-            if (shard.D, shard.t) != (disc.D, cp.t):
+            if (shard.D, shard.t, shard.h) != (disc.D, cp.t, disc.h):
                 raise ValueError(f"cached shard {path} does not match request")
         else:
             shard = build_shard(disc, cp, jobs=jobs)

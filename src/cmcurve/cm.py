@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import is_prime, task_rng
+from .arith import is_prime, smallest_nonresidue, task_rng
 from .classpoly import PolyModM, build_shards
 from .crt import build_basis, crt_mod_n
 from .curves import (
@@ -30,7 +30,6 @@ from .curves import (
     quadratic_twist,
     random_point,
     scalar_mul,
-    smallest_nonresidue,
 )
 from .errors import Ambiguous, InvariantViolation, NoRoot, OutsideHasse, ZeroTrace
 from .primegen import DEFAULT_EPSILON, find_crt_primes

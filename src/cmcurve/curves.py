@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .arith import isqrt, legendre, sqrt_mod_p
+from .arith import isqrt, legendre, smallest_nonresidue, sqrt_mod_p
 from .errors import (
     Ambiguous,
     InvariantViolation,
@@ -187,13 +187,6 @@ def random_point(E: CurveModP, rng: random.Random) -> Point:
             return (x, sqrt_mod_p(rhs, p))
         except NotASquare:
             pass
-
-
-def smallest_nonresidue(p: int) -> int:
-    c = 2
-    while legendre(c, p) != -1:
-        c += 1
-    return c
 
 
 def quadratic_twist(E: CurveModP, c: int) -> CurveModP:

@@ -15,6 +15,7 @@ from cmcurve.arith import (
     log_fixed,
     mod_inverse,
     pi_fixed,
+    smallest_nonresidue,
     sqrt_fixed,
     sqrt_mod_p,
     task_rng,
@@ -120,6 +121,25 @@ def test_sqrt_mod_p_random_primes():
         y = sqrt_mod_p(a, p)
         assert y * y % p == a % p
         assert y <= p - y or y == 0  # canonical smaller root
+
+
+def test_sqrt_mod_p_every_residue_for_p_1_mod_4():
+    # Tonelli-Shanks, including primes with a high power of 2 in p - 1
+    for p in (13, 17, 41, 73, 97, 113, 257, 7681):
+        squares = {y * y % p for y in range(p)}
+        for a in range(p):
+            if a in squares:
+                y = sqrt_mod_p(a, p)
+                assert y * y % p == a and y <= p - y
+            else:
+                with pytest.raises(NotASquare):
+                    sqrt_mod_p(a, p)
+
+
+def test_smallest_nonresidue_brute_force():
+    for p in (3, 5, 7, 17, 41, 71, 73, 191, 311, 409, 1009, 3361):
+        squares = {y * y % p for y in range(1, p)}
+        assert smallest_nonresidue(p) == min(set(range(1, p)) - squares)
 
 
 def test_isqrt_examples():

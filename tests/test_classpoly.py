@@ -1,10 +1,15 @@
 import random
+import re
 
 import pytest
 
 from cmcurve import classpoly
+from cmcurve.arith import is_prime, legendre
 from cmcurve.classpoly import (
     PolyModM,
+    Shard,
+    _probe,
+    _root_classes,
     build_shard,
     build_shards,
     find_j_invariants,
@@ -15,7 +20,7 @@ from cmcurve.classpoly import (
     shard_path,
     shard_to_json,
 )
-from cmcurve.curves import point_count_naive, curve_from_j
+from cmcurve.curves import curve, curve_from_j, point_count_naive, residue_table
 from cmcurve.errors import WrongCount
 from cmcurve.primegen import CrtPrime, find_crt_primes
 from cmcurve.quadforms import Discriminant, discriminant
@@ -71,6 +76,36 @@ def test_find_j_invariants_without_prefilter_agrees():
         and point_count_naive(curve_from_j(j, p)) in (p + 1 - t, p + 1 + t)
     ]
     assert find_j_invariants(discriminant(-59), CrtPrime(p, t)) == brute == [71, 130, 195]
+
+
+def test_root_character_and_probe_at_every_small_prime():
+    # every j of every prime 5 <= p < 400, with t from its exact count
+    c_zero = 0
+    for p in filter(is_prime, range(5, 400)):
+        tbl = residue_table(p)
+        for j in range(1, p):
+            if j == 1728 % p:
+                continue
+            order = point_count_naive(curve_from_j(j, p))
+            chi = legendre(j - 1728, p)
+            assert order % 2 == 0 or chi == 1
+            assert order % 4 != 2 or chi == -1
+            t = abs(p + 1 - order)
+            assert tbl[(j - 1728) % p] in _root_classes(p, t)
+            a4, a6 = _probe(p, t, j)
+            assert curve(p, a4, a6).j == j
+            c_zero += (1 + a4 + a6) % p == 0
+    assert c_zero > 0  # the probe's c = 0 branch was taken
+
+
+def test_character_test_and_probe_reject_most_candidates():
+    p, t = 3797, 123
+    assert _root_classes(p, t) == (2,)  # t odd: chi(j - 1728) = +1
+    tbl = residue_table(p)
+    passed = [j for j in range(1, p) if tbl[(j - 1728) % p] == 2]
+    assert 2 * len(passed) == p - 1  # half of F_p
+    survivors = [j for j in passed if _probe(p, t, j) is not None]
+    assert {70, 958, 2381} <= set(survivors) and len(survivors) < 20
 
 
 def test_find_j_invariants_rejects_mismatched_prime():
@@ -137,6 +172,40 @@ def test_shard_cache_layout_and_reload(tmp_path):
     path = save_shard(shard, tmp_path)
     assert path == tmp_path / "D59" / "p17.json"
     assert load_shard(path) == shard
+
+
+@pytest.mark.parametrize(
+    "j_set, t",
+    [
+        ((70, 900, 2381), 123),  # 900 - 1728 is a square, as for a root
+        ((70, 907, 2381), 123),  # 907 - 1728 is not
+        ((70, 70, 2381), 123),
+        ((70, 958, 2381), 125),
+    ],
+)
+def test_load_shard_rejects_a_forged_shard(tmp_path, j_set, t):
+    # D = -59, p = 3797 has roots (70, 958, 2381) and t = 123; each forged
+    # file agrees with itself, since its coefficients are rewritten to match
+    p = 3797
+    assert [legendre(j - 1728, p) for j in (900, 907)] == [1, -1]
+    for j in set(j_set) - {70, 958, 2381}:
+        assert point_count_naive(curve_from_j(j, p)) not in (p + 1 - t, p + 1 + t)
+    forged = Shard(D=-59, p=p, t=t, j_set=j_set, poly=poly_from_roots(j_set, p))
+    path = save_shard(forged, tmp_path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_shard(path)
+
+
+def test_build_shards_rejects_a_cached_shard_with_a_dropped_root(tmp_path):
+    disc, cp = discriminant(-59), CrtPrime(3797, 123)
+    shard = build_shard(disc, cp)
+    save_shard(shard, tmp_path)
+    assert build_shards(disc, [cp], cache_dir=tmp_path) == [shard]
+    js = shard.j_set[:2]
+    dropped = Shard(D=-59, p=cp.p, t=cp.t, j_set=js, poly=poly_from_roots(js, cp.p))
+    path = save_shard(dropped, tmp_path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        build_shards(disc, [cp], cache_dir=tmp_path)
 
 
 def test_build_shards_uses_cache(tmp_path):

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cmcurve.classpoly import PolyModM
 from cmcurve.cm import (
@@ -26,6 +28,7 @@ from cmcurve.curves import (
     scalar_mul,
 )
 from cmcurve.errors import NoRoot, NotFundamental, OutsideHasse, ZeroTrace
+from cmcurve.quadforms import is_fundamental
 
 N59 = 141767
 H59_MOD_N = (48400, 73152, 31177, 1)
@@ -171,6 +174,29 @@ def test_construct_curve_256_bit_scalar_mul():
         assert left == point_add(E, scalar_mul(E, P, a), scalar_mul(E, P, b))
 
 
+# d < 300 keeps each discriminant's scans under a few seconds
+SMALL_D = [d for d in range(5, 300) if d % 8 != 7 and is_fundamental(-d)]
+
+
+@pytest.fixture(scope="module")
+def shard_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("shards")
+
+
+# about one t in ten gives a prime n, so most draws are filtered out
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(d=st.sampled_from(SMALL_D), s=st.integers(0, 511), plus=st.booleans())
+def test_construct_curve_has_the_requested_order(shard_cache, d, s, plus):
+    t = 2 * s + d % 2  # t^2 + d = 0 (mod 4)
+    n = (t * t + d) // 4
+    assume(t > 0 and n > 3 and n < 1 << 18 and is_prime(n))
+    N = n + 1 + t if plus else n + 1 - t
+    result = construct_curve(n, N, cache_dir=shard_cache)
+    assert point_count_naive(result.curve) == N
+
+
 def test_verify_order_golden_curve():
     E = curve(141767, 39103, 120580)
     assert verify_order(E, 142521)
@@ -195,7 +221,7 @@ def test_verify_order_requires_hasse():
 
 def test_verify_twist_pair():
     E = curve(141767, 39103, 120580)
-    from cmcurve.curves import smallest_nonresidue
+    from cmcurve.arith import smallest_nonresidue
 
     T = quadratic_twist(E, smallest_nonresidue(141767))
     assert verify_order(T, 141015)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcurve.arith import is_prime, isqrt, task_rng
+from cmcurve.arith import is_prime, isqrt, smallest_nonresidue, task_rng
 from cmcurve.curves import (
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,
@@ -21,7 +21,6 @@ from cmcurve.curves import (
     quadratic_twist,
     random_point,
     scalar_mul,
-    smallest_nonresidue,
 )
 from cmcurve.errors import NotANonResidue, SpecialJ, TooLarge
 
