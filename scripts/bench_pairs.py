@@ -1,0 +1,128 @@
+"""Run the benchmark on a parent revision and on the change, in alternating
+pairs, and summarise the end-to-end metrics into one JSON file.
+
+    python3 scripts/bench_pairs.py --parent REV --seeds 11 12 --pairs 10 \\
+        --out BENCH_<n>.json
+
+The parent's committed files are exported with `git archive` into a
+temporary directory; the change is the working tree of this checkout. For
+every workload in BENCHMARK.json, pair i runs `perfbench/run.py --trace 0`
+for the benchmark's run length once on each side with seed
+seeds[i % len(seeds)], the parent first in even pairs and the change first
+in odd ones, so a drift in machine speed hits both sides alike. The output
+gives, per workload and metric, each side's median and quartiles and the
+number of pairs the change won, with nproc and the Python version.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _spread(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summarize(pairs, better) -> dict:
+    """Per-metric summary of one workload's pairs.
+
+    pairs is a list of (parent, change) results as perfbench/run.py prints
+    them; better maps each metric name to "lower" or "higher". A pair is a
+    win when the change's value is strictly better.
+    """
+    metrics = {}
+    for name, direction in better.items():
+        par = [p["metrics"][name]["value"] for p, _ in pairs]
+        chg = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = 1 if direction == "lower" else -1
+        metrics[name] = {
+            "parent": _spread(par),
+            "change": _spread(chg),
+            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(par, chg)),
+        }
+    return {
+        "pairs": len(pairs),
+        "correct": all(p["correct"] and c["correct"] for p, c in pairs),
+        "failed": sum(p["failed"] + c["failed"] for p, c in pairs),
+        "metrics": metrics,
+    }
+
+
+def export(rev: str, into: Path) -> Path:
+    """The committed files of rev, extracted under `into`."""
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into)
+    return into
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{tree}: {workload} seed {seed} printed nothing\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 to give quartiles")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, change = export(args.parent, Path(tmp)), ROOT
+        summary = {}
+        for wl in (w["name"] for w in spec["workloads"]):
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seeds[i % len(args.seeds)]
+                order = [parent, change] if i % 2 == 0 else [change, parent]
+                got = {tree: run_once(tree, wl, seed, seconds) for tree in order}
+                pairs.append((got[parent], got[change]))
+                walls = [got[t]["metrics"]["wall_s"]["value"] for t in (parent, change)]
+                print(f"{wl} pair {i} seed {seed}: wall_s parent {walls[0]:.3f}, "
+                      f"change {walls[1]:.3f}", file=sys.stderr)
+            summary[wl] = summarize(pairs, better)
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    doc = {
+        "parent": rev,
+        "change": "working tree",
+        "seeds": args.seeds,
+        "seconds": seconds,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "workloads": summary,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

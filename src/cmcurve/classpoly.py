@@ -20,7 +20,8 @@ below may work on any twist:
 
 The h roots assemble into the monic shard polynomial prod (X - j) mod p,
 which is what later gets lifted coefficient by coefficient. A cached shard
-is checked on load with the first two tests, h probes in all.
+is checked on load with the first two tests, h probes in all, once per
+distinct file text in a process.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .arith import legendre, task_rng
@@ -254,22 +256,28 @@ def load_shard(path) -> Shard:
 
     Besides the file agreeing with itself (see shard_from_json), the trace
     must fit 4p = t^2 - D and the j must be distinct, each passing the
-    scan's character test and probe.
+    scan's character test and probe. The file is read on every load; the
+    check is a function of its text alone and is remembered per text.
     """
     try:
-        shard = shard_from_json(Path(path).read_text())
-        p, t = shard.p, shard.t
-        if t <= 0 or 4 * p != t * t - shard.D:
-            raise ValueError(f"4p = t^2 - D fails for p = {p}, t = {t}")
-        if len(set(shard.j_set)) != shard.h:
-            raise ValueError("repeated j-invariants")
-        classes = _root_classes(p, t)
-        for j in shard.j_set:
-            allowed = legendre(j - 1728, p) + 1 in classes
-            if j == 0 or not allowed or _probe(p, t, j) is None:
-                raise ValueError(f"j = {j} is not a root mod {p}")
+        return _checked_shard(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"cached shard {path}: {exc}") from None
+
+
+@lru_cache(maxsize=1024)
+def _checked_shard(text: str) -> Shard:
+    shard = shard_from_json(text)
+    p, t = shard.p, shard.t
+    if t <= 0 or 4 * p != t * t - shard.D:
+        raise ValueError(f"4p = t^2 - D fails for p = {p}, t = {t}")
+    if len(set(shard.j_set)) != shard.h:
+        raise ValueError("repeated j-invariants")
+    classes = _root_classes(p, t)
+    for j in shard.j_set:
+        allowed = legendre(j - 1728, p) + 1 in classes
+        if j == 0 or not allowed or _probe(p, t, j) is None:
+            raise ValueError(f"j = {j} is not a root mod {p}")
     return shard
 
 

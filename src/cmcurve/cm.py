@@ -4,7 +4,7 @@ Given a prime n and a target N inside the Hasse interval, the trace is
 t = n + 1 - N and the discriminant D = t^2 - 4n. The class polynomial for D
 is assembled modulo n from its reductions at small split primes, a root j
 is extracted, and the curve with that j-invariant (or its quadratic twist)
-is the answer.
+is the answer. The polynomial arithmetic of root finding lives in poly.py.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .curves import (
     scalar_mul,
 )
 from .errors import Ambiguous, InvariantViolation, NoRoot, OutsideHasse, ZeroTrace
+from .poly import _ModF, _pgcd, _ptrim, _split_roots
 from .primegen import DEFAULT_EPSILON, find_crt_primes
 from .quadforms import Discriminant, discriminant
 
@@ -111,102 +112,6 @@ def hilbert_mod_n(
 # ---------------------------------------------------------------------------
 # Root finding over F_n
 # ---------------------------------------------------------------------------
-# Dense coefficient lists, lowest degree first, trimmed of leading zeros.
-
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a, b, n):
-    a = list(a)
-    db, lead_inv = len(b) - 1, pow(b[-1], -1, n)
-    while len(a) - 1 >= db and a:
-        q = a[-1] * lead_inv % n
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * c) % n
-        _ptrim(a)
-    return a
-
-
-def _pmulmod(a, b, mod, n):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for k, cb in enumerate(b):
-                out[i + k] = (out[i + k] + ca * cb) % n
-    return _pmod(_ptrim(out), mod, n)
-
-
-def _pgcd(a, b, n):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, n)
-    if a:
-        inv = pow(a[-1], -1, n)
-        a = [c * inv % n for c in a]
-    return a
-
-
-def _ppow_mod(base, e, mod, n):
-    result = [1]
-    base = _pmod(list(base), mod, n)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, n)
-        e >>= 1
-        if e:
-            base = _pmulmod(base, base, mod, n)
-    return result
-
-
-def _split_roots(g, n, rng) -> list[int]:
-    """Roots of a monic product of distinct linear factors mod n."""
-    deg = len(g) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % n]
-    while True:
-        c = rng.randrange(n)
-        w = _ppow_mod([c, 1], (n - 1) // 2, g, n)
-        if not w:
-            w = [0]
-        w[0] = (w[0] - 1) % n
-        h1 = _pgcd(w, g, n)
-        if 0 < len(h1) - 1 < deg:
-            break
-    other = _pdiv_exact(g, h1, n)
-    return _split_roots(h1, n, rng) + _split_roots(other, n, rng)
-
-
-def _psub(a, b, n):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % n
-    return _ptrim(out)
-
-
-def _pdiv_exact(a, b, n):
-    """Quotient a / b when b divides a exactly."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lead_inv = pow(b[-1], -1, n)
-    while len(a) >= len(b) and a:
-        coef = a[-1] * lead_inv % n
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % n
-        _ptrim(a)
-    if a:
-        raise InvariantViolation(f"division mod {n} was not exact")
-    return q
 
 
 def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
@@ -214,7 +119,8 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
 
     gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
     raised to (n-1)/2 then split that product of linear factors. The shift
-    sequence comes from the seed, so results are reproducible.
+    sequence comes from the seed, so results are reproducible. The
+    multiply-mod and the splitting are in poly.py.
     """
     if poly.modulus != n:
         raise ValueError("polynomial modulus does not match n")
@@ -225,8 +131,10 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
     f = _ptrim(list(poly.coeffs))
     if len(f) == 1:
         return []
-    xq = _ppow_mod([0, 1], n, f, n)
-    g = _pgcd(_psub(xq, [0, 1], n), f, n)
+    ring = _ModF(f, n)
+    xq, x = ring.pow_linear(0, n), ring.pow_linear(0, 1)
+    del ring  # its fold rows need not live through the split
+    g = _pgcd([(a - b) % n for a, b in zip(xq, x)], f, n)
     if len(g) <= 1:
         return []
     roots = _split_roots(g, n, task_rng(seed, "roots", n))

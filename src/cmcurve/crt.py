@@ -2,9 +2,10 @@
 
 crt_mod_n recovers x mod n from residues of a signed integer x with
 |x| < (1/2 - epsilon) * M, M the product of the moduli, without ever
-materialising x or M: the rounded quotient r = floor(z/M + 1/2) is
-estimated in low-precision fixed point, which is enough because z/M + 1/2
-is guaranteed to stay at least epsilon away from every integer.
+materialising x: the rounded quotient r = floor(z/M + 1/2) is estimated in
+low-precision fixed point, which is enough because z/M + 1/2 is
+guaranteed to stay at least epsilon away from every integer. M is formed
+once per basis; nothing of its size is formed per coefficient.
 
 crt_integer is the classic reconstruction that does materialise the
 integer; it serves as the independent oracle for the modular route.
@@ -26,9 +27,9 @@ _GUARD_BITS = 8
 class CrtBasis:
     """Precomputed data shared by every coefficient lift.
 
-    inverses[i] is (M/m_i)^(-1) mod m_i. M itself is never formed; only
-    M mod n and each (M/m_i) mod n are kept, the latter from prefix and
-    suffix products, so no modulus needs to be invertible mod n.
+    inverses[i] is (M/m_i)^(-1) mod m_i. M is formed once to build the
+    basis and not kept; only M mod n and each (M/m_i) mod n are, taken by
+    exact division, so no modulus needs to be invertible mod n.
     """
 
     moduli: tuple[int, ...]
@@ -50,7 +51,12 @@ def _check_residues(basis: CrtBasis, residues: Sequence[int]) -> None:
 
 def build_basis(moduli: Sequence[int], n: int, epsilon: float = 0.001) -> CrtBasis:
     """Precompute inverses and mod-n data for the given pairwise coprime
-    moduli."""
+    moduli.
+
+    M/m_i is invertible mod m_i exactly when m_i is coprime to every other
+    modulus, so the inverses check coprimality; only when one is missing
+    does a pairwise scan find the two moduli to name.
+    """
     moduli = tuple(moduli)
     if not moduli:
         raise ValueError("at least one modulus required")
@@ -61,38 +67,35 @@ def build_basis(moduli: Sequence[int], n: int, epsilon: float = 0.001) -> CrtBas
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
     ell = len(moduli)
-    for i in range(ell):
-        for k in range(i + 1, ell):
-            if math.gcd(moduli[i], moduli[k]) != 1:
-                raise NotCoprime(f"moduli {moduli[i]} and {moduli[k]} share a factor")
-
-    inverses = []
-    for i, m in enumerate(moduli):
-        prod_i = 1
-        for k, other in enumerate(moduli):
-            if k != i:
-                prod_i = prod_i * (other % m) % m
-        inverses.append(mod_inverse(prod_i, m))
-
-    # prefix/suffix products give every M_i mod n without any inversion
-    prefix = [1] * (ell + 1)
-    for i, m in enumerate(moduli):
-        prefix[i + 1] = prefix[i] * (m % n) % n
-    suffix = [1] * (ell + 1)
-    for i in range(ell - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * (moduli[i] % n) % n
-    M_i_mod_n = tuple(prefix[i] * suffix[i + 1] % n for i in range(ell))
-
+    M = math.prod(moduli)
+    inverses, M_i_mod_n = [], []
+    for m in moduli:
+        cofactor = M // m
+        try:
+            inverses.append(pow(cofactor % m, -1, m))
+        except ValueError:
+            _check_coprime(moduli)  # raises, naming the two moduli
+            raise
+        M_i_mod_n.append(cofactor % n)
     scale_bits = max(0, math.ceil(math.log2(ell / epsilon))) + _GUARD_BITS
     return CrtBasis(
         moduli=moduli,
         inverses=tuple(inverses),
         n=n,
         epsilon=epsilon,
-        M_mod_n=prefix[ell],
-        M_i_mod_n=M_i_mod_n,
+        M_mod_n=M % n,
+        M_i_mod_n=tuple(M_i_mod_n),
         scale_bits=scale_bits,
     )
+
+
+def _check_coprime(moduli) -> None:
+    for i in range(len(moduli)):
+        for k in range(i + 1, len(moduli)):
+            if math.gcd(moduli[i], moduli[k]) != 1:
+                raise NotCoprime(
+                    f"moduli {moduli[i]} and {moduli[k]} share a factor"
+                ) from None
 
 
 def round_quotient(basis: CrtBasis, residues: Sequence[int]) -> int:
@@ -130,16 +133,11 @@ def crt_mod_n(basis: CrtBasis, residues: Sequence[int]) -> int:
 
 def crt_integer(moduli, residues: Sequence[int]) -> int:
     """Classic CRT oracle: the signed integer in (-M/2, M/2] matching the
-    residues. Materialises M, unlike the modular route."""
+    residues. Materialises the integer, unlike the modular route."""
     moduli = tuple(getattr(moduli, "moduli", moduli))
     if len(residues) != len(moduli):
         raise ValueError("residue vector length does not match the moduli")
-    for i in range(len(moduli)):
-        for k in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[k]) != 1:
-                raise NotCoprime(
-                    f"moduli {moduli[i]} and {moduli[k]} share a factor"
-                )
+    _check_coprime(moduli)
     M = math.prod(moduli)
     z = 0
     for m, x in zip(moduli, residues):

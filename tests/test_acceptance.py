@@ -259,7 +259,7 @@ def test_criterion_09d_random_discriminant_shards():
             D = -rng.randrange(5, 2000)
             if is_fundamental(D) and (-D) % 8 != 7 and -D > 4:
                 discs.append(D)
-        from cmcurve.cm import _pgcd
+        from cmcurve.poly import _pgcd
 
         for D in discs:
             disc = discriminant(D)

@@ -1,0 +1,40 @@
+"""The pair summary of scripts/bench_pairs.py, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def _module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(correct=True, failed=0, **values):
+    return {"correct": correct, "failed": failed, "attempted": 10,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_summary_medians_quartiles_and_wins():
+    walls = [(10.0, 3.0), (12.0, 2.0), (11.0, 4.0), (13.0, 13.5), (9.0, 3.5)]
+    pairs = [(_run(wall_s=p, rate=1.0), _run(wall_s=c, rate=r))
+             for (p, c), r in zip(walls, (2.0, 0.5, 1.0, 3.0, 2.0))]
+    out = _module().summarize(pairs, {"wall_s": "lower", "rate": "higher"})
+    assert out["pairs"] == 5 and out["correct"] and out["failed"] == 0
+    wall = out["metrics"]["wall_s"]
+    assert wall["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+    assert wall["change"] == {"median": 3.5, "q1": 3.0, "q3": 4.0}
+    assert wall["change_wins"] == 4  # 13.5 against 13.0 is a loss
+    assert out["metrics"]["rate"]["change_wins"] == 3  # equal is no win
+
+
+def test_summary_reports_incorrect_and_failed_runs():
+    pairs = [(_run(wall_s=1.0), _run(wall_s=1.0, correct=False, failed=2)),
+             (_run(wall_s=1.0, failed=1), _run(wall_s=1.0))]
+    out = _module().summarize(pairs, {"wall_s": "lower"})
+    assert not out["correct"]
+    assert out["failed"] == 3
+    assert out["metrics"]["wall_s"]["change_wins"] == 0

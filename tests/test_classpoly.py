@@ -1,3 +1,4 @@
+import os
 import random
 import re
 
@@ -142,7 +143,7 @@ def test_shard_poly_is_squarefree():
     disc = discriminant(-59)
     shard = build_shard(disc, CrtPrime(827, 57))
     # distinct roots guarantee gcd(f, f') = 1
-    from cmcurve.cm import _pgcd
+    from cmcurve.poly import _pgcd
 
     f = list(shard.poly.coeffs)
     fprime = [(i * c) % 827 for i, c in enumerate(f)][1:]
@@ -192,6 +193,28 @@ def test_load_shard_rejects_a_forged_shard(tmp_path, j_set, t):
         assert point_count_naive(curve_from_j(j, p)) not in (p + 1 - t, p + 1 + t)
     forged = Shard(D=-59, p=p, t=t, j_set=j_set, poly=poly_from_roots(j_set, p))
     path = save_shard(forged, tmp_path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_shard(path)
+
+
+def test_load_shard_rechecks_a_file_rewritten_in_place(tmp_path):
+    # the check is remembered per file text: a forged file of the same
+    # length and mtime at the same path must be checked afresh
+    cp = CrtPrime(3797, 123)
+    shard = build_shard(discriminant(-59), cp)
+    path = save_shard(shard, tmp_path)
+    assert load_shard(path) == shard
+    stat, size = path.stat(), len(path.read_text())
+    forgeries = (
+        Shard(D=-59, p=cp.p, t=cp.t, j_set=js, poly=poly_from_roots(js, cp.p))
+        for js in ((70, j, 2381) for j in range(900, 958))
+    )
+    forged = next(f for f in forgeries if len(shard_to_json(f)) == size)
+    orders = (cp.p + 1 - cp.t, cp.p + 1 + cp.t)
+    assert point_count_naive(curve_from_j(forged.j_set[1], cp.p)) not in orders
+    path.write_text(shard_to_json(forged))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_shard(path)
 

@@ -232,7 +232,7 @@ def test_inexact_division_raises_under_python_O():
     # an assert, which python -O strips
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
-        "from cmcurve.cm import _pdiv_exact\n"
+        "from cmcurve.poly import _pdiv_exact\n"
         "from cmcurve.errors import DomainError\n"
         "try:\n"
         "    q = _pdiv_exact([1, 0, 1], [1, 1], 7)\n"

@@ -1,0 +1,124 @@
+"""The F_n[x] arithmetic of root finding against schoolbook references.
+
+Both multiply paths run: degrees below KRONECKER_MIN_DEGREE take the lazy
+one, the rest the Kronecker one. Coefficients at n - 1 put the most into
+every slot; for n of 2 * 8k bits the slot has no spare padding, so a slot
+sized without room for the carries overflows.
+"""
+
+import random
+
+import pytest
+
+from cmcurve.arith import is_prime, task_rng
+from cmcurve.classpoly import PolyModM, poly_from_roots
+from cmcurve.cm import find_all_roots
+from cmcurve.poly import KRONECKER_MIN_DEGREE, _ModF, _pdiv_exact, _pgcd, _split_roots
+
+DEGREES = sorted({1, 2, 3, 5, KRONECKER_MIN_DEGREE - 1, KRONECKER_MIN_DEGREE,
+                  KRONECKER_MIN_DEGREE + 1, 17, 32, 61, 96, 130})
+
+
+def school_mulmod(a, b, f, n):
+    """a * b mod f, reduced after every step."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = (out[i + k] + x * y) % n
+    d, lead_inv = len(f) - 1, pow(f[-1], -1, n)
+    while len(out) > d:
+        q, shift = out[-1] * lead_inv % n, len(out) - 1 - d
+        for i, c in enumerate(f):
+            out[shift + i] = (out[shift + i] - q * c) % n
+        out.pop()
+    return out + [0] * (d - len(out))
+
+
+def school_pow_linear(c, e, f, n):
+    result, base = [1], [c, 1]
+    while e:
+        if e & 1:
+            result = school_mulmod(result, base, f, n)
+        base = school_mulmod(base, base, f, n)
+        e >>= 1
+    return school_mulmod(result, [1], f, n)
+
+
+def random_prime(bits, rng):
+    while True:
+        m = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if is_prime(m):
+            return m
+
+
+@pytest.mark.parametrize("bits", [2, 28, 61, 64, 256])
+def test_mul_and_mul_linear_match_schoolbook(bits):
+    rng = random.Random(bits)
+    for d in DEGREES:
+        n = 3 if bits == 2 else random_prime(bits, rng)
+        for f in ([rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)],
+                  [n - 1] * (d + 1)):
+            ring = _ModF(f, n)
+            top = [n - 1] * d
+            a = [rng.randrange(n) for _ in range(d)]
+            b = [rng.randrange(n) for _ in range(d)]
+            for x, y in ((top, top), (a, b), (a, top)):
+                assert ring.mul(x, y) == school_mulmod(x, y, f, n), (bits, d)
+            assert ring.mul(top, top) == ring.mul(top, list(top))
+            c = rng.randrange(n)
+            assert ring.mul_linear(a, c) == school_mulmod(a, [c, 1], f, n)
+            assert ring.mul_linear(top, n - 1) == school_mulmod(top, [n - 1, 1], f, n)
+
+
+@pytest.mark.parametrize("bits", [3, 32, 256])
+def test_pow_linear_matches_schoolbook(bits):
+    rng = random.Random(100 + bits)
+    for d in (1, 2, KRONECKER_MIN_DEGREE - 1, KRONECKER_MIN_DEGREE, 13):
+        n = 7 if bits == 3 else random_prime(bits, rng)
+        f = [rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)]
+        ring = _ModF(f, n)
+        for c, e in ((0, n), (rng.randrange(n), (n - 1) // 2), (n - 1, 0), (5, 1)):
+            assert ring.pow_linear(c, e) == school_pow_linear(c, e, f, n), (bits, d, e)
+
+
+def brute_roots(coeffs, n):
+    return [x for x in range(n) if sum(c * pow(x, i, n) for i, c in enumerate(coeffs)) % n == 0]
+
+
+def test_find_all_roots_against_brute_force():
+    rng = random.Random(5)
+    for n in (3, 5, 7, 11, 13, 31, 97, 101):
+        for _ in range(25):
+            d = rng.randrange(1, 12)
+            coeffs = [rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)]
+            assert find_all_roots(PolyModM(n, tuple(coeffs)), n) == brute_roots(coeffs, n)
+
+
+def test_find_all_roots_repeated_none_and_linear():
+    n = 101
+    repeated = poly_from_roots([3, 3, 3, 40, 40, 77] + list(range(50, 60)), n)
+    assert find_all_roots(repeated, n) == [3, 40] + list(range(50, 60)) + [77]
+    no_roots = PolyModM(n, (2, 0, 1))  # X^2 + 2; -2 is a non-residue mod 101
+    assert brute_roots(no_roots.coeffs, n) == []
+    assert find_all_roots(no_roots, n) == []
+    assert find_all_roots(PolyModM(n, (5, 7)), n) == [(-5 * pow(7, -1, n)) % n]
+    assert find_all_roots(PolyModM(n, (9,)), n) == []
+
+
+def test_degree_96_split_at_27_bits_returns_every_root():
+    rng = random.Random(96)
+    n = random_prime(27, rng)
+    roots = sorted(rng.sample(range(n), 96))
+    g = list(poly_from_roots(roots, n).coeffs)
+    assert sorted(_split_roots(g, n, task_rng(0, "roots", n))) == roots
+    assert find_all_roots(PolyModM(n, tuple(g)), n) == roots
+
+
+def test_gcd_is_monic_and_exact_division():
+    n = 10007
+    a = poly_from_roots([1, 2, 3, 4], n).coeffs
+    b = [c * 5 % n for c in poly_from_roots([3, 4, 9], n).coeffs]
+    assert _pgcd(a, b, n) == list(poly_from_roots([3, 4], n).coeffs)
+    assert _pdiv_exact(a, poly_from_roots([2, 4], n).coeffs, n) == list(
+        poly_from_roots([1, 3], n).coeffs
+    )
