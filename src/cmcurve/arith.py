@@ -91,6 +91,17 @@ def smallest_nonresidue(p: int) -> int:
     return z
 
 
+@functools.lru_cache(maxsize=8)
+def _tonelli_shanks_base(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q mod p) for p - 1 = q * 2^s, q odd, z the smallest
+    non-residue: the per-prime part of Tonelli-Shanks, cached per p."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    return q, s, pow(smallest_nonresidue(p), q, p)
+
+
 def sqrt_mod_p(a: int, p: int) -> int:
     """Square root of a modulo an odd prime p, canonical smaller root.
 
@@ -105,12 +116,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
         if y * y % p != a:
             raise NotASquare(f"{a} is not a square mod {p}")
         return min(y, p - y)
-    # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c = pow(smallest_nonresidue(p), q, p)
+    q, s, c = _tonelli_shanks_base(p)
     w = pow(a, (q - 1) // 2, p)
     y = a * w % p  # a^((q+1)/2)
     t = y * w % p  # a^q

@@ -20,11 +20,10 @@ from .curves import (
     EXHAUSTIVE_COUNT_MAX,
     NAIVE_COUNT_CAP,
     CurveModP,
-    OrderVerdict,
     curve,
     curve_from_j,
     hasse_interval,
-    order_filter,
+    order_filter,  # unused here; perfbench/spans.py rebinds cm.order_filter
     point_count_bsgs,
     point_count_naive,
     quadratic_twist,
@@ -32,7 +31,7 @@ from .curves import (
     scalar_mul,
 )
 from .errors import Ambiguous, InvariantViolation, NoRoot, OutsideHasse, ZeroTrace
-from .poly import _ModF, _pgcd, _ptrim, _split_roots
+from .poly import _ModF, _pdivmod, _pgcd, _ptrim, _split_roots
 from .primegen import DEFAULT_EPSILON, find_crt_primes
 from .quadforms import Discriminant, discriminant
 
@@ -118,9 +117,10 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
     """All roots in F_n of a nonzero polynomial, sorted ascending.
 
     gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
-    raised to (n-1)/2 then split that product of linear factors. The shift
-    sequence comes from the seed, so results are reproducible. The
-    multiply-mod and the splitting are in poly.py.
+    raised to (n-1)/2 then split that product of linear factors. The first
+    shift's power W also gives X^n = (X + c) W^2 - c, since (X + c)^n =
+    X^n + c in F_n[X]. The shift sequence comes from the seed, so results
+    are reproducible. The multiply-mod and the splitting are in poly.py.
     """
     if poly.modulus != n:
         raise ValueError("polynomial modulus does not match n")
@@ -131,13 +131,17 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
     f = _ptrim(list(poly.coeffs))
     if len(f) == 1:
         return []
+    rng = task_rng(seed, "roots", n)
+    c = rng.randrange(n)
     ring = _ModF(f, n)
-    xq, x = ring.pow_linear(0, n), ring.pow_linear(0, 1)
+    w = ring.pow_linear(c, (n - 1) // 2)
+    xq, x = ring.mul_linear(ring.mul(w, w), c), ring.pow_linear(0, 1)
+    xq[0] -= c
     del ring  # its fold rows need not live through the split
     g = _pgcd([(a - b) % n for a, b in zip(xq, x)], f, n)
     if len(g) <= 1:
         return []
-    roots = _split_roots(g, n, task_rng(seed, "roots", n))
+    roots = _split_roots(g, n, rng, _pdivmod(w, g, n)[1])
     roots.sort()
     if any(poly.evaluate(r) != 0 for r in roots):
         raise InvariantViolation(f"split produced a non-root mod {n}")
@@ -168,7 +172,8 @@ def verify_order(
 
     For fields up to NAIVE_COUNT_CAP an exact count decides. Above it,
     random points must all be annihilated by N while the complementary
-    candidate N' = 2p + 2 - N fails on at least one of them.
+    candidate N' = 2p + 2 - N fails on at least one of them. Once [N]P = O,
+    [N']P = [N' - N]P, a scalar of half the length.
     """
     p = E.p
     lo, hi = hasse_interval(p)
@@ -182,13 +187,13 @@ def verify_order(
         if scalar_mul(E, random_point(E, rng), N) is not None:
             raise InvariantViolation(f"exact count {N} does not annihilate a point")
         return True
-    other = 2 * p + 2 - N
-    other_ruled_out = other == N
+    gap = abs(2 * p + 2 - 2 * N)  # |N' - N| = 2|t|
+    other_ruled_out = gap == 0
     for _ in range(samples):
         P = random_point(E, rng)
         if scalar_mul(E, P, N) is not None:
             return False
-        if not other_ruled_out and scalar_mul(E, P, other) is not None:
+        if not other_ruled_out and scalar_mul(E, P, gap) is not None:
             other_ruled_out = True
     return other_ruled_out
 
@@ -229,8 +234,8 @@ def construct_curve(
     """A verified curve over F_n with exactly N points.
 
     The root of the class polynomial is the smallest one unless force_j
-    picks another; the branch between the curve and its quadratic twist is
-    decided by random-point annihilation and backstopped by an exact count.
+    picks another. verify_order decides the branch: the curve with that j
+    if it verifies with N points, else its quadratic twist, which must.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -271,26 +276,13 @@ def construct_curve(
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # A root's curve has n + 1 - t or n + 1 + t points; verify_order accepts
+    # only the one with N, so the first failure selects the twist.
     E = curve_from_j(j, n)
-    t_abs = abs(params.t)
-    # E has N points iff its order sits on the branch the sign of t selects.
-    wanted = (
-        OrderVerdict.MATCHES_MINUS if params.t > 0 else OrderVerdict.MATCHES_PLUS
-    )
-    verdict = order_filter(E, t_abs, rng=task_rng(seed, "branch", n))
-    if verdict is OrderVerdict.INCONCLUSIVE:
-        exact = _exact_order(E, task_rng(seed, "order", n))
-        verdict = (
-            wanted if exact == N else
-            (OrderVerdict.MATCHES_PLUS if wanted is OrderVerdict.MATCHES_MINUS
-             else OrderVerdict.MATCHES_MINUS)
-        )
-    if verdict is OrderVerdict.NEITHER:
-        raise Ambiguous("class polynomial root produced a curve off both branches")
-    if verdict is not wanted:
-        E = quadratic_twist(E, smallest_nonresidue(n))
     if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
-        raise Ambiguous("constructed curve failed order verification")
+        E = quadratic_twist(E, smallest_nonresidue(n))
+        if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
+            raise Ambiguous("neither the root's curve nor its twist has N points")
     timings["construct"] = time.perf_counter() - t0
 
     return CurveResult(

@@ -1,13 +1,15 @@
 """Dense polynomials over F_n, n an odd prime, lowest degree first: what
 root finding needs. Multiplying mod a large f uses Kronecker substitution
 (Harvey, J. Symb. Comp. 44, 2009); roots are split as in Cantor &
-Zassenhaus, Math. Comp. 36 (1981).
+Zassenhaus, Math. Comp. 36 (1981), down to quadratics, which take the
+quadratic formula.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
+from .arith import sqrt_mod_p
 from .errors import InvariantViolation
 
 # ms per find_all_roots of degree d, all lazy / all Kronecker, best of 12 on
@@ -125,17 +127,27 @@ class _ModF:
         return r
 
 
-def _split_roots(g, n, rng) -> list[int]:
-    """Roots of a monic product of distinct linear factors mod n."""
+def _split_roots(g, n, rng, w=None) -> list[int]:
+    """Roots of a monic product of distinct linear factors mod n.
+
+    Degree 2 takes the quadratic formula; above it, Cantor-Zassenhaus
+    splits by gcd(w - 1, g) for w = (X + c)^((n-1)/2) mod g, c drawn from
+    rng. A given w stands for the first draw, already made by the caller.
+    """
     deg = len(g) - 1
     if deg <= 1:
         return [(-g[0]) % n] if deg else []
+    if deg == 2:
+        s, half = sqrt_mod_p(g[1] * g[1] - 4 * g[0], n), (n + 1) // 2
+        return [(-g[1] - s) * half % n, (-g[1] + s) * half % n]
     ring = _ModF(g, n)
     while True:
-        w = ring.pow_linear(rng.randrange(n), (n - 1) // 2)
+        if w is None:
+            w = ring.pow_linear(rng.randrange(n), (n - 1) // 2)
         w[0] = (w[0] - 1) % n
         h1 = _pgcd(w, g, n)
         if 0 < len(h1) - 1 < deg:
             break
+        w = None
     del ring  # each level's fold rows die before the next level's are built
     return _split_roots(h1, n, rng) + _split_roots(_pdiv_exact(g, h1, n), n, rng)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cmcurve import cm
 from cmcurve.classpoly import PolyModM
 from cmcurve.cm import (
     construct_curve,
@@ -16,7 +17,7 @@ from cmcurve.cm import (
     hilbert_mod_n,
     verify_order,
 )
-from cmcurve.arith import is_prime, task_rng
+from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.curves import (
     curve,
     curve_from_j,
@@ -27,7 +28,7 @@ from cmcurve.curves import (
     random_point,
     scalar_mul,
 )
-from cmcurve.errors import NoRoot, NotFundamental, OutsideHasse, ZeroTrace
+from cmcurve.errors import Ambiguous, NoRoot, NotFundamental, OutsideHasse, ZeroTrace
 from cmcurve.quadforms import is_fundamental
 
 N59 = 141767
@@ -195,6 +196,64 @@ def test_construct_curve_has_the_requested_order(shard_cache, d, s, plus):
     N = n + 1 + t if plus else n + 1 - t
     result = construct_curve(n, N, cache_dir=shard_cache)
     assert point_count_naive(result.curve) == N
+
+
+# D = -59 at 64 and 256 bits, t > 0: (n, t, j, (a4, a6) for N = n + 1 - t,
+# (a4, a6) for N = n + 1 + t), as pinned when a 4-point branch filter still
+# picked the branch. At 64 bits the minus branch is curve_from_j(j), at 256
+# bits the plus one.
+T256 = 510423550381407695195061911147652317643
+BOTH_SIGNS = [
+    (9223372118999263697, 6074001027, 1590554535993401451,
+     (4044515892281700419, 8089031784563400838),
+     (2499028903364469757, 7814934014909155636)),
+    ((T256 * T256 + 59) // 4, T256,
+     16315381040642891052180532204526232123810410507988193321435714479139266024367,
+     (8155821298294782491544938843852270217258398367833886393277707989022227578610,
+      54296461861719949939232371170060992479415578615082437404011343727254531617398),
+     (34605480422568875585765574244656541696617885185436413258050226803674228029091,
+      23070320281712583723843716163104361131078590123624275505366817869116152019394)),
+]
+
+
+@pytest.mark.parametrize("n, t, j, minus, plus", BOTH_SIGNS, ids=["64-bit", "256-bit"])
+def test_construct_curve_both_signs_of_t_give_pinned_curves(
+    shard_cache, monkeypatch, n, t, j, minus, plus
+):
+    verified = []
+
+    def spy(E, N, **kw):
+        verified.append((E.a4, E.a6))
+        return verify_order(E, N, **kw)
+
+    monkeypatch.setattr(cm, "verify_order", spy)
+    first = curve_from_j(j, n)
+    calls = []
+    for N, want in ((n + 1 - t, minus), (n + 1 + t, plus)):
+        verified.clear()
+        result = construct_curve(n, N, cache_dir=shard_cache)
+        assert (result.j, result.curve.a4, result.curve.a6) == (j, *want)
+        # the root's own curve is tried first, the twist only if it fails
+        direct = want == (first.a4, first.a6)
+        assert verified == ([want] if direct else [(first.a4, first.a6), want])
+        calls.append(len(verified))
+    assert sorted(calls) == [1, 2]
+
+
+def test_construct_curve_raises_ambiguous_when_neither_branch_verifies(
+    shard_cache, monkeypatch
+):
+    tried = []
+
+    def reject(E, N, **kw):
+        tried.append(E)
+        return False
+
+    monkeypatch.setattr(cm, "verify_order", reject)
+    with pytest.raises(Ambiguous):
+        construct_curve(141767, 142521, cache_dir=shard_cache)
+    E = curve_from_j(4160, 141767)
+    assert tried == [E, quadratic_twist(E, smallest_nonresidue(141767))]
 
 
 def test_verify_order_golden_curve():

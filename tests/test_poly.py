@@ -10,10 +10,13 @@ import random
 
 import pytest
 
-from cmcurve.arith import is_prime, task_rng
+from cmcurve import cm
+from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.classpoly import PolyModM, poly_from_roots
 from cmcurve.cm import find_all_roots
-from cmcurve.poly import KRONECKER_MIN_DEGREE, _ModF, _pdiv_exact, _pgcd, _split_roots
+from cmcurve.poly import (
+    KRONECKER_MIN_DEGREE, _ModF, _pdiv_exact, _pgcd, _ptrim, _split_roots,
+)
 
 DEGREES = sorted({1, 2, 3, 5, KRONECKER_MIN_DEGREE - 1, KRONECKER_MIN_DEGREE,
                   KRONECKER_MIN_DEGREE + 1, 17, 32, 61, 96, 130})
@@ -112,6 +115,50 @@ def test_degree_96_split_at_27_bits_returns_every_root():
     g = list(poly_from_roots(roots, n).coeffs)
     assert sorted(_split_roots(g, n, task_rng(0, "roots", n))) == roots
     assert find_all_roots(PolyModM(n, tuple(g)), n) == roots
+
+
+def _polymul(a, b, n):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = (out[i + k] + x * y) % n
+    return out
+
+
+@pytest.mark.parametrize("n", [10007, 10009])  # 3 and 1 (mod 4)
+def test_find_all_roots_hands_the_first_power_mod_g_to_the_split(n, monkeypatch):
+    # f = 3 (X - r_1)...(X - r_5)(X^2 - z), z a non-residue: g = gcd(X^n - X, f)
+    # has degree 5, so g != f and the split gets W mod g for its first try
+    rng = random.Random(n)
+    roots = sorted(rng.sample(range(n), 5))
+    g = list(poly_from_roots(roots, n).coeffs)
+    f = [3 * c % n for c in _polymul(g, [n - smallest_nonresidue(n), 0, 1], n)]
+    assert brute_roots(f, n) == roots
+    handed = []
+
+    def spy(g, n, rng, w=None):
+        handed.append((list(g), list(w)))
+        return _split_roots(g, n, rng, w)
+
+    monkeypatch.setattr(cm, "_split_roots", spy)
+    assert find_all_roots(PolyModM(n, tuple(f)), n) == roots
+    c = task_rng(0, "roots", n).randrange(n)
+    assert handed == [(g, _ptrim(_ModF(g, n).pow_linear(c, (n - 1) // 2)))]
+
+
+@pytest.mark.parametrize("n", [103, 10007, 97, 7681, (1 << 255) - 19])
+def test_quadratic_leaves_take_one_square_root_and_no_draw(n):
+    # n = 3 (mod 4) squares once; 97, 7681 and 2^255 - 19 are 1 (mod 4) and
+    # take Tonelli-Shanks with 2^5, 2^9 and 2^2 in n - 1
+    rng = random.Random(n)
+    pairs = [(0, n - 1), (1, 2), (0, (n + 1) // 2)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+    for pair in filter(lambda rs: rs[0] != rs[1], pairs):
+        g = list(poly_from_roots(pair, n).coeffs)
+        draws = task_rng("unused")
+        state = draws.getstate()
+        assert sorted(_split_roots(g, n, draws)) == sorted(pair), pair
+        assert draws.getstate() == state
 
 
 def test_gcd_is_monic_and_exact_division():
