@@ -15,13 +15,16 @@ below may work on any twist:
   With c = 1 + a4 + a6, Q = (c, c^2) lies on the twist by c,
   y^2 = x^3 + a4 c^2 x + a6 c^3, and x([p+1]Q) = x([t]Q) holds iff
   p + 1 - t or p + 1 + t kills Q. For c = 0, (1, 0) has order 2 and the
-  j goes on untested;
+  j goes on untested. Both multiples come from an affine double-and-add
+  that reads each inverse from the p-entry inverse_table(p), so an
+  inversion costs one lookup;
 - the four-point order filter and an exact count for the few survivors.
 
 The h roots assemble into the monic shard polynomial prod (X - j) mod p,
 which is what later gets lifted coefficient by coefficient. A cached shard
 is checked on load with the first two tests, h probes in all, once per
-distinct file text in a process.
+distinct file text in a process; those probes invert with pow and build
+no table.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .curves import (
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,
     OrderVerdict,
-    _mul_raw,
+    PowInverse,
+    _x_mul,
+    inverse_table,
     order_filter,
     point_count_bsgs,
     point_count_naive,
@@ -124,27 +129,28 @@ def _root_classes(p: int, t: int) -> tuple[int, ...]:
     return (0,) if (p + 1 - t) % 4 == 2 else (0, 2)
 
 
-def _probe(p: int, t: int, j: int) -> tuple[int, int] | None:
+def _probe(p: int, t: int, j: int, inv=None) -> tuple[int, int] | None:
     """The scan model (a4, a6) of j != 0, 1728 if it passes the one-point
-    probe, or None: then no twist of it has p + 1 +- t points."""
+    probe, or None: then no twist of it has p + 1 +- t points. inv gives
+    1/v mod p by indexing, pow(v, -1, p) when omitted."""
     k = 1728 - j
     a4, a6 = 3 * j * k % p, 2 * j * k * k % p
     c = (1 + a4 + a6) % p
     if c:
         a4c, cc = a4 * c * c % p, c * c % p
-        a = _mul_raw(p, a4c, c, cc, p + 1)
-        b = _mul_raw(p, a4c, c, cc, t)
-        if (a and a[0]) != (b and b[0]):  # x-coordinates, None standing for O
+        if inv is None:
+            inv = PowInverse(p)
+        if _x_mul(p, a4c, c, cc, p + 1, inv) != _x_mul(p, a4c, c, cc, t, inv):
             return None
     return a4, a6
 
 
 def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
     """Confirmed j-invariants in [lo, hi) whose curve order is p + 1 +- t."""
-    tbl, classes = residue_table(p), _root_classes(p, t)
+    tbl, inv, classes = residue_table(p), inverse_table(p), _root_classes(p, t)
     out = []
     for j in range(max(lo, 1), hi):
-        model = _probe(p, t, j) if tbl[(j - 1728) % p] in classes else None
+        model = _probe(p, t, j, inv) if tbl[(j - 1728) % p] in classes else None
         if model is None:
             continue
         E = CurveModP(p, *model, j)
@@ -166,7 +172,9 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> lis
     Every survivor of the probabilistic filter is confirmed with an exact
     count, so the result is exact; finding anything other than h of them
     raises WrongCount and aborts the run. With jobs > 1 and p >= 2^16 the
-    j-range is split into chunks scanned by a process pool.
+    j-range is split into chunks scanned by a process pool. The scan reads
+    two p-entry tables, residue_table(p) and inverse_table(p), about 5p
+    bytes per process; a pool's workers inherit them from this process.
     """
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:
@@ -176,6 +184,9 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> lis
     if jobs <= 1 or p < 1 << 16:
         found = _scan_range(p, t, 0, p)
     else:
+        # built here, so that every forked worker inherits them
+        residue_table(p)
+        inverse_table(p)
         chunks = jobs * 4
         bounds = [(p * i) // chunks for i in range(chunks + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -273,10 +284,10 @@ def _checked_shard(text: str) -> Shard:
         raise ValueError(f"4p = t^2 - D fails for p = {p}, t = {t}")
     if len(set(shard.j_set)) != shard.h:
         raise ValueError("repeated j-invariants")
-    classes = _root_classes(p, t)
+    classes, inv = _root_classes(p, t), PowInverse(p)  # h probes: no O(p) table
     for j in shard.j_set:
         allowed = legendre(j - 1728, p) + 1 in classes
-        if j == 0 or not allowed or _probe(p, t, j) is None:
+        if j == 0 or not allowed or _probe(p, t, j, inv) is None:
             raise ValueError(f"j = {j} is not a root mod {p}")
     return shard
 

@@ -9,8 +9,10 @@ random.Random so runs are reproducible.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .arith import isqrt, legendre, smallest_nonresidue, sqrt_mod_p
@@ -168,6 +170,39 @@ def _mul_raw(p: int, a4: int, x: int, y: int, m: int) -> tuple[int, int] | None:
     return (X * zi2 % p, Y * zi2 * zi % p)
 
 
+def _x_mul(p: int, a4: int, x: int, y: int, m: int, inv) -> int | None:
+    """x([m](x, y)) for m >= 0, or None for O (the j-scan probe's kernel).
+
+    Affine double-and-add taking each inverse as inv[v] = 1/v mod p: a
+    table read in the scan, where an inversion then costs less than the
+    extra products of the Jacobian formulas in _mul_raw.
+    """
+    if m == 0:
+        return None
+    X, Y = x, y  # X = None, Y = 0 standing for O
+    for bit in bin(m)[3:]:
+        if Y:
+            lam = (3 * X * X + a4) * inv[2 * Y % p] % p
+            X2 = (lam * lam - 2 * X) % p
+            X, Y = X2, (lam * (X - X2) - Y) % p
+        else:  # O, or a point of order 2
+            X = None
+        if bit == "1":
+            if X is None:
+                X, Y = x, y
+            elif X != x:
+                lam = (Y - y) * inv[(X - x) % p] % p
+                X = (lam * lam - X - x) % p
+                Y = (lam * (x - X) - y) % p
+            elif Y == y and y:  # the accumulator is (x, y): double it
+                lam = (3 * x * x + a4) * inv[2 * y % p] % p
+                X = (lam * lam - 2 * x) % p
+                Y = (lam * (x - X) - y) % p
+            else:  # the accumulator is -(x, y), or (x, y) has order 2
+                X, Y = None, 0
+    return X
+
+
 def scalar_mul(E: CurveModP, P: Point, m: int) -> Point:
     """[m]P for m >= 0; [0]P is the point at infinity."""
     if m < 0:
@@ -201,23 +236,40 @@ def quadratic_twist(E: CurveModP, c: int) -> CurveModP:
 # Point counting
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict[int, bytearray] = {}
 _TABLE_CACHE_MAX = 3
 
 
+@lru_cache(maxsize=_TABLE_CACHE_MAX)
 def residue_table(p: int) -> bytearray:
     """Quadratic character table: entry v is chi(v) + 1, i.e. 0 for a
     non-residue, 1 for zero, 2 for a nonzero square. Cached per process."""
-    tbl = _TABLE_CACHE.get(p)
-    if tbl is None:
-        tbl = bytearray(p)
-        tbl[0] = 1
-        for x in range(1, (p - 1) // 2 + 1):
-            tbl[x * x % p] = 2
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        _TABLE_CACHE[p] = tbl
+    tbl = bytearray(p)
+    tbl[0] = 1
+    for x in range(1, (p - 1) // 2 + 1):
+        tbl[x * x % p] = 2
     return tbl
+
+
+@lru_cache(maxsize=_TABLE_CACHE_MAX)
+def inverse_table(p: int) -> array:
+    """Entry v is 1/v mod p for 0 < v < p (entry 0 is 0), by the recurrence
+    1/v = -(p // v) / (p mod v). Cached per process like residue_table."""
+    inv = array("I", [0]) * p
+    inv[1] = 1
+    for v in range(2, p):
+        inv[v] = (p - p // v) * inv[p % v] % p
+    return inv
+
+
+class PowInverse:
+    """inv[v] = pow(v, -1, p) on demand, for a few inversions where an
+    O(p) inverse_table would cost more than it saves."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, v: int) -> int:
+        return pow(v, -1, self.p)
 
 
 def hasse_interval(p: int) -> tuple[int, int]:

@@ -197,6 +197,22 @@ def test_load_shard_rejects_a_forged_shard(tmp_path, j_set, t):
         load_shard(path)
 
 
+def test_load_shard_checks_a_big_shard_without_an_inverse_table(tmp_path, monkeypatch):
+    # the h = 96 probes of a load must not build the O(p) scan tables
+    from test_acceptance import BIG_J_SET, BIG_P, BIG_T
+
+    built, probed = [], []
+    real_inverse, real_probe = classpoly.inverse_table, classpoly._probe
+    monkeypatch.setattr(classpoly, "inverse_table", lambda p: built.append(p) or real_inverse(p))
+    monkeypatch.setattr(classpoly, "_probe", lambda *a: probed.append(a[2]) or real_probe(*a))
+    js = tuple(BIG_J_SET)
+    shard = Shard(D=-832603, p=BIG_P, t=BIG_T, j_set=js, poly=poly_from_roots(js, BIG_P))
+    classpoly._checked_shard.cache_clear()  # a check remembered from before proves nothing
+    assert load_shard(save_shard(shard, tmp_path)) == shard
+    assert probed == BIG_J_SET
+    assert built == []
+
+
 def test_load_shard_rechecks_a_file_rewritten_in_place(tmp_path):
     # the check is remembered per file text: a forged file of the same
     # length and mtime at the same path must be checked afresh

@@ -9,9 +9,13 @@ from cmcurve.curves import (
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,
     OrderVerdict,
+    PowInverse,
+    _mul_raw,
+    _x_mul,
     curve,
     curve_from_j,
     hasse_interval,
+    inverse_table,
     is_on_curve,
     j_invariant,
     order_filter,
@@ -20,6 +24,7 @@ from cmcurve.curves import (
     point_count_naive,
     quadratic_twist,
     random_point,
+    residue_table,
     scalar_mul,
 )
 from cmcurve.errors import NotANonResidue, SpecialJ, TooLarge
@@ -253,6 +258,62 @@ def test_scalar_mul_matches_repeated_addition_on_every_point(p):
     # orders 2 and 3 reach the kernel's doubling of a 2-torsion point and
     # its mixed addition of the base to itself
     assert {2, 3} <= orders
+
+
+def _chain_events(m, order):
+    """The special cases that the double-and-add chain for [m]P meets, for P
+    of the given order > 1, following the multiple k of the accumulator."""
+    if m == 0:
+        return {"m = 0"}
+    events, k = set(), 1
+    for bit in bin(m)[3:]:
+        if k % order and 2 * k % order == 0:
+            events.add("double Y = 0")
+        k *= 2
+        if bit == "1":
+            if order > 2 and k % order == 1:
+                events.add("accumulator = base")
+            if order > 2 and (k + 1) % order == 0:
+                events.add("accumulator = -base")
+            k += 1
+    return events
+
+
+@pytest.mark.parametrize("p", [13, 17, 101, 211])
+def test_x_mul_agrees_with_mul_raw_on_every_point(p):
+    # the affine probe kernel against the Jacobian one, with both inverters,
+    # on every point and every m in [0, 2p + 6]
+    orders, inverters = set(), (inverse_table(p), PowInverse(p))
+    for a4, a6 in ((0, 5), (3, 0), (1, 1)):
+        E = curve(p, a4, a6)
+        points = [(x, y) for x in range(p) for y in range(p) if is_on_curve(E, (x, y))]
+        for x, y in points:
+            ref = [_mul_raw(p, a4, x, y, m) for m in range(2 * p + 7)]
+            orders.add(ref.index(None, 1))
+            want = [Q and Q[0] for Q in ref]  # x-coordinates, None standing for O
+            for inv in inverters:
+                got = [_x_mul(p, a4, x, y, m, inv) for m in range(2 * p + 7)]
+                assert got == want, (a4, a6, x, y)
+    events = set().union(*(_chain_events(m, n) for n in orders for m in range(2 * p + 7)))
+    assert events == {
+        "m = 0", "accumulator = base", "accumulator = -base", "double Y = 0"
+    }
+
+
+@pytest.mark.parametrize("p", [5, 7, 1031, 12007])
+def test_inverse_table_inverts_every_unit(p):
+    inv = inverse_table(p)
+    assert len(inv) == p
+    assert all(v * inv[v] % p == 1 for v in range(1, p))
+
+
+def test_inverse_tables_are_cached_no_more_than_residue_tables():
+    for p in (5, 7, 11, 13, 17):
+        inverse_table(p)
+        residue_table(p)
+    cached = inverse_table.cache_info().currsize
+    assert cached <= residue_table.cache_info().currsize == 3
+    assert inverse_table(17) is inverse_table(17)
 
 
 def test_random_point_always_on_curve_and_affine():
