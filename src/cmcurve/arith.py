@@ -2,17 +2,13 @@
 
 Python's built-in int already provides arbitrary precision, so this module
 is mostly thin, deterministic wrappers: modular inverse, primality testing,
-Legendre symbol, modular square roots, and a small fixed-point type used
-wherever a real number has to be computed with an explicit error budget.
+Legendre symbol, modular square roots and a keyed RNG.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotASquare, NotInvertible
 
@@ -22,13 +18,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _PROBABLE_ROUNDS = 40  # error < 4^-40 = 2^-80 for m >= 2^64
-
-
-def isqrt(m: int) -> int:
-    """Floor of the integer square root."""
-    if m < 0:
-        raise ValueError("isqrt of negative value")
-    return math.isqrt(m)
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -143,123 +132,3 @@ def task_rng(*parts) -> random.Random:
     across processes and machines (unlike seeding with a hashable object).
     """
     return random.Random(":".join(str(p) for p in parts))
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point reals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """A real number represented as mantissa / 2^scale_bits.
-
-    Arithmetic never hides its error: construction by from_ratio truncates
-    toward -infinity (error < 1 ulp), add of equal-scale values is exact,
-    and mul truncates the product (error < 1 ulp plus inherited error).
-    Callers account for accumulated ulps explicitly.
-    """
-
-    mantissa: int
-    scale_bits: int
-
-    @classmethod
-    def from_int(cls, v: int, scale_bits: int) -> "FixedPoint":
-        return cls(v << scale_bits, scale_bits)
-
-    @classmethod
-    def from_ratio(cls, num: int, den: int, scale_bits: int) -> "FixedPoint":
-        """num/den rounded down to the grid; error in [0, 1) ulp."""
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        return cls((num << scale_bits) // den, scale_bits)
-
-    def add(self, other: "FixedPoint") -> "FixedPoint":
-        if self.scale_bits != other.scale_bits:
-            raise ValueError("scale mismatch")
-        return FixedPoint(self.mantissa + other.mantissa, self.scale_bits)
-
-    def mul(self, other: "FixedPoint") -> "FixedPoint":
-        if self.scale_bits != other.scale_bits:
-            raise ValueError("scale mismatch")
-        return FixedPoint(
-            (self.mantissa * other.mantissa) >> self.scale_bits, self.scale_bits
-        )
-
-    def to_float(self) -> float:
-        return self.mantissa / (1 << self.scale_bits)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 1 << self.scale_bits)
-
-
-_GUARD_BITS = 32
-
-
-def _arctan_recip(x: int, scale_bits: int) -> int:
-    # atan(1/x) = sum (-1)^k / ((2k+1) x^(2k+1)), mantissa at scale_bits
-    acc, power, k = 0, x, 0
-    while True:
-        term = (1 << scale_bits) // ((2 * k + 1) * power)
-        if term == 0:
-            return acc
-        acc += -term if k & 1 else term
-        power *= x * x
-        k += 1
-
-
-def _artanh_recip(x: int, scale_bits: int) -> int:
-    # atanh(1/x) = sum 1 / ((2k+1) x^(2k+1)), mantissa at scale_bits
-    acc, power, k = 0, x, 0
-    while True:
-        term = (1 << scale_bits) // ((2 * k + 1) * power)
-        if term == 0:
-            return acc
-        acc += term
-        power *= x * x
-        k += 1
-
-
-def pi_fixed(scale_bits: int) -> int:
-    """Mantissa of pi at the given scale (Machin's formula), error < 1 ulp."""
-    s = scale_bits + _GUARD_BITS
-    return (16 * _arctan_recip(5, s) - 4 * _arctan_recip(239, s)) >> _GUARD_BITS
-
-
-def ln2_fixed(scale_bits: int) -> int:
-    """Mantissa of ln 2 at the given scale, error < 1 ulp."""
-    s = scale_bits + _GUARD_BITS
-    return (2 * _artanh_recip(3, s)) >> _GUARD_BITS
-
-
-def log_fixed(n: int, scale_bits: int) -> int:
-    """Mantissa of ln n for a positive integer n, error < 1 ulp.
-
-    Splits ln n = e ln 2 + ln r with r = n / 2^e in [1, 2), and evaluates
-    ln r = 2 atanh((r-1)/(r+1)) as an integer series; the argument is at
-    most 1/3 so the series converges by a factor of at least 9 per term.
-    """
-    if n < 1:
-        raise ValueError("log_fixed needs a positive integer")
-    if n == 1:
-        return 0
-    s = scale_bits + _GUARD_BITS
-    e = n.bit_length() - 1
-    u = (n << s) >> e  # mantissa of r in [1, 2)
-    ynum, yden = u - (1 << s), u + (1 << s)
-    y = (ynum << s) // yden
-    y2 = (y * y) >> s
-    acc, power, k = 0, y, 0
-    while power:
-        acc += power // (2 * k + 1)
-        power = (power * y2) >> s
-        k += 1
-    ln2 = 2 * _artanh_recip(3, s)
-    return (2 * acc + e * ln2) >> _GUARD_BITS
-
-
-def sqrt_fixed(m: int, scale_bits: int) -> int:
-    """Mantissa of sqrt(m) for a nonnegative integer m, error < 1 ulp."""
-    if m < 0:
-        raise ValueError("sqrt_fixed of negative value")
-    return math.isqrt(m << (2 * scale_bits))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -67,18 +68,19 @@ def _s(v) -> str:
 def _cmd_forms(args, out) -> int:
     disc = quadforms.discriminant(args.D)
     forms = quadforms.reduced_forms(disc)
+    sum_inv_a = float(quadforms.sum_inverse_a(disc))
     doc = {
         "D": _s(disc.D),
         "h": _s(disc.h),
         "forms": [[_s(f.a), _s(f.b), _s(f.c)] for f in forms],
-        "sum_inv_a": float(quadforms.sum_inverse_a(disc)),
+        "sum_inv_a": sum_inv_a,
         "log_B": disc.log_B,
     }
     if args.json:
         print(json.dumps(doc, separators=(",", ":")), file=out)
     else:
         print(f"D: {disc.D}  h: {disc.h}  log B: {disc.log_B:.4f}", file=out)
-        print(f"sum 1/a: {float(quadforms.sum_inverse_a(disc)):.6f}", file=out)
+        print(f"sum 1/a: {sum_inv_a:.6f}", file=out)
         for f in forms:
             print(f"  ({f.a}, {f.b}, {f.c})", file=out)
     return 0
@@ -118,9 +120,7 @@ def _cmd_primes(args, out) -> int:
 
 def _find_crt_prime(disc, p: int) -> primegen.CrtPrime:
     t2 = 4 * p - disc.d
-    from .arith import isqrt
-
-    t = isqrt(t2) if t2 > 0 else -1
+    t = math.isqrt(t2) if t2 > 0 else -1
     if t <= 0 or t * t != t2:
         raise ValueError(f"4*{p} - {disc.d} is not a positive square")
     return primegen.CrtPrime(p=p, t=t)

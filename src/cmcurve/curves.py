@@ -8,6 +8,7 @@ random.Random so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .arith import isqrt, legendre, smallest_nonresidue, sqrt_mod_p
+from .arith import legendre, smallest_nonresidue, sqrt_mod_p
 from .errors import (
     Ambiguous,
     InvariantViolation,
@@ -273,7 +274,7 @@ class PowInverse:
 
 
 def hasse_interval(p: int) -> tuple[int, int]:
-    fl = isqrt(4 * p)
+    fl = math.isqrt(4 * p)
     return p + 1 - fl, p + 1 + fl
 
 
@@ -301,7 +302,7 @@ def _annihilators_in_window(
 ) -> list[int]:
     """All m in [lo, lo + width) with [m]P = O, by baby-step giant-step."""
     p, a4 = E.p, E.a4
-    step = isqrt(width) + 1
+    step = math.isqrt(width) + 1
     baby: dict[tuple[int, int], int] = {}
     q: Point = None
     for jj in range(step):
@@ -385,7 +386,7 @@ def order_filter(
     then never the wrong branch.
     """
     p = E.p
-    if not 0 < t <= isqrt(4 * p):
+    if not 0 < t <= math.isqrt(4 * p):
         raise ValueError("trace must satisfy 0 < t <= 2*sqrt(p)")
     if rng is None:
         rng = random.Random(0)

@@ -1,22 +1,15 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cmcurve.arith import (
-    FixedPoint,
     is_prime,
-    isqrt,
     legendre,
-    ln2_fixed,
-    log_fixed,
     mod_inverse,
-    pi_fixed,
     smallest_nonresidue,
-    sqrt_fixed,
     sqrt_mod_p,
     task_rng,
 )
@@ -142,73 +135,9 @@ def test_smallest_nonresidue_brute_force():
         assert smallest_nonresidue(p) == min(set(range(1, p)) - squares)
 
 
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(59) == 7
-    assert isqrt(567009) == 753 and 753 ** 2 == 567009
-
-
-@given(st.integers(0, 2 ** 256))
-def test_isqrt_property(m):
-    r = isqrt(m)
-    assert r * r <= m < (r + 1) * (r + 1)
-
-
 def test_task_rng_is_stable_across_instances():
     a = [task_rng(1, "x", 5).randrange(10 ** 9) for _ in range(4)]
     b = [task_rng(1, "x", 5).randrange(10 ** 9) for _ in range(4)]
     assert a == b
     assert task_rng(1, "x", 5).random() != task_rng(2, "x", 5).random()
 
-
-# -- fixed point ------------------------------------------------------------
-
-
-@given(st.integers(0, 2 ** 64), st.integers(1, 2 ** 32), st.integers(8, 80))
-def test_from_ratio_truncates_under_one_ulp(num, den, scale):
-    fp = FixedPoint.from_ratio(num, den, scale)
-    err = Fraction(num, den) - fp.as_fraction()
-    assert 0 <= err < Fraction(1, 1 << scale)
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(st.tuples(st.integers(0, 10 ** 9), st.integers(1, 10 ** 6)), min_size=1, max_size=40),
-    st.integers(16, 64),
-)
-def test_fixed_sum_error_at_most_terms_ulps(pairs, scale):
-    total = FixedPoint(0, scale)
-    exact = Fraction(0)
-    for num, den in pairs:
-        total = total.add(FixedPoint.from_ratio(num, den, scale))
-        exact += Fraction(num, den)
-    err = exact - total.as_fraction()
-    assert 0 <= err < Fraction(len(pairs), 1 << scale)
-
-
-def test_fixed_point_scale_mismatch_rejected():
-    with pytest.raises(ValueError):
-        FixedPoint(1, 8).add(FixedPoint(1, 9))
-
-
-def test_pi_and_ln2_against_floats():
-    assert abs(pi_fixed(64) / 2 ** 64 - math.pi) < 1e-15
-    assert abs(ln2_fixed(64) / 2 ** 64 - math.log(2)) < 1e-15
-
-
-@given(st.integers(1, 10 ** 18))
-def test_log_fixed_matches_math_log(n):
-    assert abs(log_fixed(n, 64) / 2 ** 64 - math.log(n)) < 1e-12
-
-
-def test_log_fixed_huge_argument():
-    n = math.comb(96, 48)
-    approx = log_fixed(n, 64) / 2 ** 64
-    assert abs(approx - math.log(n)) < 1e-10
-
-
-@given(st.integers(0, 10 ** 12))
-def test_sqrt_fixed_error(m):
-    fp = Fraction(sqrt_fixed(m, 64), 2 ** 64)
-    assert fp * fp <= m
-    assert (fp + Fraction(1, 2 ** 64)) ** 2 > m

@@ -46,7 +46,7 @@ def test_derive_cm_params_known_pairs():
 
 
 def test_derive_cm_params_rejections():
-    from cmcurve.arith import isqrt
+    from math import isqrt
 
     n = 141767
     with pytest.raises(OutsideHasse):

@@ -1,10 +1,11 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcurve.arith import is_prime, isqrt, smallest_nonresidue, task_rng
+from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.curves import (
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,

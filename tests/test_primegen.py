@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import pytest
 
 from cmcurve.arith import is_prime
 from cmcurve.errors import NoPrimesPossible, SearchLimitExceeded
-from cmcurve.primegen import default_target_log, find_crt_primes, prime_stats
-from cmcurve.quadforms import discriminant
+from cmcurve.primegen import CrtPrime, default_target_log, find_crt_primes, prime_stats
+from cmcurve.quadforms import discriminant, is_fundamental
 
 D59_PRIMES = [17, 71, 197, 521, 827, 1907, 3797, 5417]
 D59_TRACES = [3, 15, 27, 45, 57, 87, 123, 147]
@@ -88,3 +89,41 @@ def test_primes_avoid_tiny_and_ramified():
     ps = find_crt_primes(discriminant(-3), target_log=3.0)
     assert all(cp.p > 3 and 3 % cp.p != 0 for cp in ps.primes)
     assert [cp.p for cp in ps.primes][0] == 7  # t = 5: (25 + 3)/4
+
+
+# SHA-256 of the lines "D:p,t p,t ...\n" over the D in the given order, as
+# find_crt_primes returned them when log B was still a 64-bit fixed-point sum.
+SMALL_D_PRIMES_SHA256 = "76bf2cdb3c55986f795e97ce5a6fae4a8e92347ba8fdd6969e8c2844784de177"
+D2083_PRIMES_SHA256 = "1c2295da7d4b7ac829badf63af355ab25b82741ef29306f3f6c482871529834a"
+D832603_PRIMES_SHA256 = "a261c5480398603aeb48140d4445e1d4304eab2a4dbda5ec318e1d70fdc2fdc4"
+PINNED_LOG_B = {
+    -59: 41.31699737642894,
+    -523: 107.73846710732833,
+    -2083: 200.9573725823437,
+    -832603: 5367.3609045348585,
+}
+
+
+def _prime_list_digest(Ds):
+    digest = hashlib.sha256()
+    for D in Ds:
+        ps = find_crt_primes(discriminant(D))
+        line = f"{D}:" + " ".join(f"{cp.p},{cp.t}" for cp in ps.primes) + "\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_prime_lists_match_the_recorded_digests():
+    small = [-d for d in range(5, 1000) if d % 8 != 7 and is_fundamental(-d)]
+    assert len(small) == 200
+    assert _prime_list_digest(small) == SMALL_D_PRIMES_SHA256
+    assert _prime_list_digest([-2083]) == D2083_PRIMES_SHA256
+    assert _prime_list_digest([-832603]) == D832603_PRIMES_SHA256
+    ps = find_crt_primes(discriminant(-832603))
+    assert len(ps.primes) == 410
+    assert ps.primes[-1] == CrtPrime(1434707, 2215)
+
+
+@pytest.mark.parametrize("D", sorted(PINNED_LOG_B))
+def test_log_b_matches_the_recorded_value(D):
+    assert discriminant(D).log_B == pytest.approx(PINNED_LOG_B[D], rel=1e-12, abs=0)

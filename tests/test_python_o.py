@@ -1,0 +1,36 @@
+"""The guard tests again under python -O, which strips assert statements.
+
+Every check these tests exercise must be an explicit raise, never an
+assert. Hypothesis tests are left out, so the run writes no example
+database.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GUARD_TESTS = [
+    "tests/test_classpoly.py::test_build_shard_matches_golden_rows",
+    "tests/test_classpoly.py::test_find_j_invariants_golden_rows",
+    "tests/test_classpoly.py::test_load_shard_rejects_a_forged_shard",
+    "tests/test_classpoly.py::test_load_shard_rechecks_a_file_rewritten_in_place",
+    "tests/test_classpoly.py::test_build_shards_rejects_a_cached_shard_with_a_dropped_root",
+    "tests/test_classpoly.py::test_wrong_count_aborts",
+    "tests/test_primegen.py::test_prime_lists_match_the_recorded_digests",
+    "tests/test_primegen.py::test_log_b_matches_the_recorded_value",
+]
+
+
+def test_guard_tests_pass_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *GUARD_TESTS],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # 4 forged shards and 4 pinned log B values are parametrized cases
+    assert re.search(r"^14 passed\b", proc.stdout, re.MULTILINE), proc.stdout
