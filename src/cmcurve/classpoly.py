@@ -7,10 +7,13 @@ k = 1728 - j, a4 = 3jk and a6 = 2jk^2, a twist of the `curve_from_j` model
 that needs no inversion. Twists swap p + 1 - t and p + 1 + t, so each test
 below may work on any twist:
 
-- a 2-torsion character test, one table lookup. The cubic's discriminant
-  is -(432jk)^2 k, so it has exactly one root, a point of order 2, iff
-  chi(j - 1728) = -1. An odd order has no such point and an order of
-  2 (mod 4) has exactly one, so half of all j go here;
+- an isogeny-count sieve, one lookup in the p-entry isogeny_table(p). As
+  D = t^2 - 4p is fundamental, a curve of trace +-t has exactly
+  1 + (D/l) rational l-isogenies for every prime l != p (Kohel, PhD
+  thesis, 1996); the table counts them for l = 2, 3, 5 as the points of
+  X_0(l) above j. The l = 2 count is the number of roots of the cubic, so
+  this implies the 2-torsion character test below; about 7 % of all j go
+  on;
 - a one-point probe with no random numbers and no square root.
   With c = 1 + a4 + a6, Q = (c, c^2) lies on the twist by c,
   y^2 = x^3 + a4 c^2 x + a6 c^3, and x([p+1]Q) = x([t]Q) holds iff
@@ -22,9 +25,12 @@ below may work on any twist:
 
 The h roots assemble into the monic shard polynomial prod (X - j) mod p,
 which is what later gets lifted coefficient by coefficient. A cached shard
-is checked on load with the first two tests, h probes in all, once per
-distinct file text in a process; those probes invert with pow and build
-no table.
+is checked on load with a 2-torsion character test and the probe, h
+probes in all, once per distinct file text in a process. The cubic's
+discriminant is -(432jk)^2 k, so it has exactly one root, a point of
+order 2, iff chi(j - 1728) = -1: an odd order has no such point and an
+order of 2 (mod 4) has exactly one. The load check's probes invert with
+pow and build no table.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 
 from .arith import legendre, task_rng
 from .curves import (
+    _TABLE_CACHE_MAX,
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,
     OrderVerdict,
@@ -47,7 +55,6 @@ from .curves import (
     order_filter,
     point_count_bsgs,
     point_count_naive,
-    residue_table,
 )
 from .errors import WrongCount
 from .primegen import CrtPrime
@@ -121,9 +128,46 @@ def poly_from_roots(roots, m: int) -> PolyModM:
 _SCAN_SEED = 0
 
 
+@lru_cache(maxsize=_TABLE_CACHE_MAX)
+def isogeny_table(p: int) -> bytearray:
+    """Entry j is c2 + 4 c3 + 32 c5, where c_l counts the h in F_p* with
+    j_l(h) = j for the hauptmoduln j_2 = (h + 16)^3/h,
+    j_3 = (h + 27)(h + 3)^3/h and j_5 = (h^2 + 10h + 5)^3/h of X_0(l).
+    For j != 0, 1728 and l != p, c_l is the number of rational l-isogenies
+    of a curve with invariant j. The l = 5 term is left out at p = 5. As
+    c2 <= 3, c3 <= 4 and c5 <= 6, an entry fits a byte. Cached per process
+    like inverse_table, whose entries give each 1/h."""
+    inv, tbl, w5 = inverse_table(p), bytearray(p), 32 if p != 5 else 0
+    for h in range(1, p):
+        i, hh = inv[h], h * h
+        tbl[(hh + 48 * h + 768 + 4096 * i) % p] += 1
+        tbl[((hh + 36 * h + 270) * h + 756 + 729 * i) % p] += 4
+        s = hh + 10 * h + 5
+        tbl[s * s * s * i % p] += w5
+    return tbl
+
+
+def _sieve_entry(p: int, t: int) -> int:
+    """The isogeny_table(p) entry of every j whose curves have p + 1 +- t
+    points, given that D = t^2 - 4p is fundamental: 1 + (D/l) for each l,
+    with the Kronecker symbol (D/2) read from D mod 8."""
+    D = t * t - 4 * p
+    entry = 1 + (0, 1, 0, -1, 0, -1, 0, 1)[D % 8] + 4 * (1 + legendre(D, 3))
+    return entry if p == 5 else entry + 32 * (1 + legendre(D, 5))
+
+
+def _sieve(p: int, t: int, lo: int, hi: int):
+    """The j in [lo, hi), other than 0 and 1728, that pass the isogeny-count
+    sieve, in ascending order."""
+    select, j1728 = bytearray(256), 1728 % p
+    select[_sieve_entry(p, t)] = 1
+    mask = isogeny_table(p)[lo:hi].translate(select)
+    return (j for j in compress(range(lo, hi), mask) if j and j != j1728)
+
+
 def _root_classes(p: int, t: int) -> tuple[int, ...]:
-    """The values of residue_table(p)[j - 1728] that the 2-torsion character
-    test lets through; never 1, so j = 1728 is always out."""
+    """The values of chi(j - 1728) + 1 that the load check's 2-torsion
+    character test lets through; never 1, so j = 1728 is always out."""
     if t % 2:
         return (2,)
     return (0,) if (p + 1 - t) % 4 == 2 else (0, 2)
@@ -147,10 +191,9 @@ def _probe(p: int, t: int, j: int, inv=None) -> tuple[int, int] | None:
 
 def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
     """Confirmed j-invariants in [lo, hi) whose curve order is p + 1 +- t."""
-    tbl, inv, classes = residue_table(p), inverse_table(p), _root_classes(p, t)
-    out = []
-    for j in range(max(lo, 1), hi):
-        model = _probe(p, t, j, inv) if tbl[(j - 1728) % p] in classes else None
+    inv, out = inverse_table(p), []
+    for j in _sieve(p, t, lo, hi):
+        model = _probe(p, t, j, inv)
         if model is None:
             continue
         E = CurveModP(p, *model, j)
@@ -173,8 +216,9 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> lis
     count, so the result is exact; finding anything other than h of them
     raises WrongCount and aborts the run. With jobs > 1 and p >= 2^16 the
     j-range is split into chunks scanned by a process pool. The scan reads
-    two p-entry tables, residue_table(p) and inverse_table(p), about 5p
-    bytes per process; a pool's workers inherit them from this process.
+    two p-entry tables, isogeny_table(p) (p bytes) and inverse_table(p)
+    (4p bytes), about 5p bytes per process; a pool's workers inherit them
+    from this process.
     """
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:
@@ -185,8 +229,7 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> lis
         found = _scan_range(p, t, 0, p)
     else:
         # built here, so that every forked worker inherits them
-        residue_table(p)
-        inverse_table(p)
+        isogeny_table(p)  # and the inverse_table(p) it reads
         chunks = jobs * 4
         bounds = [(p * i) // chunks for i in range(chunks + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -66,9 +66,8 @@ def _s(v) -> str:
 
 
 def _cmd_forms(args, out) -> int:
-    disc = quadforms.discriminant(args.D)
-    forms = quadforms.reduced_forms(disc)
-    sum_inv_a = float(quadforms.sum_inverse_a(disc))
+    disc, forms = quadforms.discriminant_and_forms(args.D)
+    sum_inv_a = float(quadforms.sum_inverse_a(disc, forms))
     doc = {
         "D": _s(disc.D),
         "h": _s(disc.h),

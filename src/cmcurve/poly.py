@@ -140,9 +140,10 @@ def _split_roots(g, n, rng, w=None) -> list[int]:
     if deg == 2:
         s, half = sqrt_mod_p(g[1] * g[1] - 4 * g[0], n), (n + 1) // 2
         return [(-g[1] - s) * half % n, (-g[1] + s) * half % n]
-    ring = _ModF(g, n)
+    ring = None  # built on the first fresh draw: a given w may split g alone
     while True:
         if w is None:
+            ring = ring or _ModF(g, n)
             w = ring.pow_linear(rng.randrange(n), (n - 1) // 2)
         w[0] = (w[0] - 1) % n
         h1 = _pgcd(w, g, n)

@@ -100,9 +100,10 @@ def class_number(disc: DiscLike) -> int:
     return len(reduced_forms(disc))
 
 
-def sum_inverse_a(disc: DiscLike) -> Fraction:
-    """Exact sum of 1/a over the reduced forms."""
-    return sum((Fraction(1, f.a) for f in reduced_forms(disc)), Fraction(0))
+def sum_inverse_a(disc: DiscLike, forms: list[QuadForm] | None = None) -> Fraction:
+    """Exact sum of 1/a over the reduced forms, enumerated unless given."""
+    forms = reduced_forms(disc) if forms is None else forms
+    return sum((Fraction(1, f.a) for f in forms), Fraction(0))
 
 
 def _log_bound(d: int, forms: list[QuadForm]) -> float:
@@ -122,9 +123,14 @@ def coefficient_bound_log(disc: DiscLike) -> float:
     return _log_bound(-D, reduced_forms(D))
 
 
-def discriminant(D: int) -> Discriminant:
-    """Validate D and package it with d, the class number and log B."""
+def discriminant_and_forms(D: int) -> tuple[Discriminant, list[QuadForm]]:
+    """discriminant(D) and the reduced forms, from one enumeration."""
     if not is_fundamental(D):
         raise NotFundamental(f"{D} is not a fundamental discriminant")
     forms = reduced_forms(D)
-    return Discriminant(D=D, d=-D, h=len(forms), log_B=_log_bound(-D, forms))
+    return Discriminant(D=D, d=-D, h=len(forms), log_B=_log_bound(-D, forms)), forms
+
+
+def discriminant(D: int) -> Discriminant:
+    """Validate D and package it with d, the class number and log B."""
+    return discriminant_and_forms(D)[0]

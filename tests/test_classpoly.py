@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import re
@@ -11,9 +12,12 @@ from cmcurve.classpoly import (
     Shard,
     _probe,
     _root_classes,
+    _sieve,
+    _sieve_entry,
     build_shard,
     build_shards,
     find_j_invariants,
+    isogeny_table,
     load_shard,
     poly_from_roots,
     save_shard,
@@ -21,7 +25,14 @@ from cmcurve.classpoly import (
     shard_path,
     shard_to_json,
 )
-from cmcurve.curves import curve, curve_from_j, point_count_naive, residue_table
+from cmcurve.curves import (
+    _TABLE_CACHE_MAX,
+    curve,
+    curve_from_j,
+    inverse_table,
+    point_count_naive,
+    residue_table,
+)
 from cmcurve.errors import WrongCount
 from cmcurve.primegen import CrtPrime, find_crt_primes
 from cmcurve.quadforms import Discriminant, discriminant
@@ -107,6 +118,82 @@ def test_character_test_and_probe_reject_most_candidates():
     assert 2 * len(passed) == p - 1  # half of F_p
     survivors = [j for j in passed if _probe(p, t, j) is not None]
     assert {70, 958, 2381} <= set(survivors) and len(survivors) < 20
+
+
+def _isogeny_counts(entry: int) -> dict[int, int]:
+    """An isogeny_table entry c2 + 4 c3 + 32 c5 as {l: c_l}."""
+    return {2: entry & 3, 3: entry >> 2 & 7, 5: entry >> 5}
+
+
+def _kronecker(D: int, l: int) -> int:
+    if l == 2:
+        return 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+    return legendre(D, l)
+
+
+def test_isogeny_table_against_torsion_and_trace_at_every_small_prime():
+    # every j != 0, 1728 of every prime 5 <= p < 300: c2 is the number of
+    # rational roots of the cubic, c3 that of psi_3 = 3x^4 + 6a4 x^2 +
+    # 12a6 x - a4^2, and c_l = 1 + (Delta/l) for l != p not dividing
+    # Delta = a^2 - 4p, a the trace from an exact count; _sieve_entry(p, a)
+    # must predict the same c_l
+    trace_checks = 0
+    for p in filter(is_prime, range(5, 300)):
+        tbl, xs = isogeny_table(p), range(p)
+        for j in range(1, p):
+            if j == 1728 % p:
+                continue
+            k = 1728 - j
+            a4, a6 = 3 * j * k % p, 2 * j * k * k % p
+            counts = _isogeny_counts(tbl[j])
+            assert counts[2] == sum((x * x * x + a4 * x + a6) % p == 0 for x in xs)
+            psi3 = ((3 * x * x + 6 * a4) * x * x + 12 * a6 * x - a4 * a4 for x in xs)
+            assert counts[3] == sum(v % p == 0 for v in psi3)
+            a = p + 1 - point_count_naive(curve(p, a4, a6))
+            delta, predicted = a * a - 4 * p, _isogeny_counts(_sieve_entry(p, a))
+            for l in (2, 3, 5):
+                if l == p:
+                    assert counts[l] == predicted[l] == 0, (p, j)
+                elif delta % l:
+                    assert counts[l] == predicted[l] == 1 + _kronecker(delta, l), (p, j, l)
+                    trace_checks += 1
+    assert trace_checks > 14000
+
+
+def test_sieve_candidates_pass_the_character_test():
+    # the sieve's l = 2 count implies the 2-torsion character test, for
+    # every trace 0 < t <= 2 sqrt(p)
+    nonempty = 0
+    for p in filter(is_prime, range(5, 200)):
+        tbl = residue_table(p)
+        for t in range(1, math.isqrt(4 * p) + 1):
+            classes = _root_classes(p, t)
+            survivors = {j for j in range(1, p) if tbl[(j - 1728) % p] in classes}
+            candidates = list(_sieve(p, t, 0, p))
+            assert set(candidates) <= survivors, (p, t)
+            assert 1728 % p not in candidates
+            nonempty += bool(candidates)
+    assert nonempty > 500
+
+
+def test_scan_at_p_5_leaves_out_the_l_5_count():
+    # p = 5 splits for D = -19 and -11; X_0(5) tells nothing in
+    # characteristic 5, so neither the table nor the wanted entry counts it
+    assert all(entry < 32 for entry in isogeny_table(5))
+    for D, t in ((-19, 1), (-11, 3)):
+        brute = [j for j in (1, 2, 4)
+                 if point_count_naive(curve_from_j(j, 5)) in (6 - t, 6 + t)]
+        assert find_j_invariants(discriminant(D), CrtPrime(5, t)) == brute
+        assert len(brute) == 1
+
+
+def test_isogeny_tables_are_cached_like_the_other_tables():
+    for p in (101, 103, 107, 109, 113):
+        isogeny_table(p)
+    info = isogeny_table.cache_info()
+    assert info.maxsize == inverse_table.cache_info().maxsize == _TABLE_CACHE_MAX
+    assert info.currsize <= _TABLE_CACHE_MAX
+    assert isogeny_table(17) is isogeny_table(17)
 
 
 def test_find_j_invariants_rejects_mismatched_prime():
@@ -203,7 +290,9 @@ def test_load_shard_checks_a_big_shard_without_an_inverse_table(tmp_path, monkey
 
     built, probed = [], []
     real_inverse, real_probe = classpoly.inverse_table, classpoly._probe
+    real_isogeny = classpoly.isogeny_table
     monkeypatch.setattr(classpoly, "inverse_table", lambda p: built.append(p) or real_inverse(p))
+    monkeypatch.setattr(classpoly, "isogeny_table", lambda p: built.append(p) or real_isogeny(p))
     monkeypatch.setattr(classpoly, "_probe", lambda *a: probed.append(a[2]) or real_probe(*a))
     js = tuple(BIG_J_SET)
     shard = Shard(D=-832603, p=BIG_P, t=BIG_T, j_set=js, poly=poly_from_roots(js, BIG_P))

@@ -28,6 +28,17 @@ def test_forms_json():
     assert abs(doc["log_B"] - 41.317) < 0.01
 
 
+@pytest.mark.parametrize("as_json", [True, False])
+def test_forms_enumerates_the_forms_once(as_json, monkeypatch):
+    from cmcurve import quadforms
+
+    calls, real = [], quadforms.reduced_forms
+    monkeypatch.setattr(quadforms, "reduced_forms", lambda D: calls.append(D) or real(D))
+    code, out = run_cli("forms", "-D", "-59", *(["--json"] if as_json else []))
+    assert code == 0 and "15" in out
+    assert calls == [-59]
+
+
 def test_primes_json():
     code, out = run_cli("primes", "-D", "-59", "--json")
     assert code == 0

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cmcurve import cm
+from cmcurve import cm, poly
 from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.classpoly import PolyModM, poly_from_roots
 from cmcurve.cm import find_all_roots
@@ -115,6 +115,32 @@ def test_degree_96_split_at_27_bits_returns_every_root():
     g = list(poly_from_roots(roots, n).coeffs)
     assert sorted(_split_roots(g, n, task_rng(0, "roots", n))) == roots
     assert find_all_roots(PolyModM(n, tuple(g)), n) == roots
+
+
+def test_a_split_by_the_given_power_builds_no_ring_for_it(monkeypatch):
+    # f splits completely, so gcd(X^n - X, f) = f and the power W that
+    # find_all_roots hands over splits it: only factors that draw afresh
+    # build a reduction context, and none is of degree 96
+    rng = random.Random(960)
+    n = random_prime(27, rng)
+    roots = sorted(rng.sample(range(n), 96))
+    built, fresh = [], []
+
+    class CountingModF(_ModF):
+        def __init__(self, f, n):
+            built.append(len(f) - 1)
+            super().__init__(f, n)
+
+    def spy(g, n, rng, w=None):
+        if len(g) > 3 and w is None:
+            fresh.append(len(g) - 1)
+        return _split_roots(g, n, rng, w)
+
+    monkeypatch.setattr(poly, "_ModF", CountingModF)
+    monkeypatch.setattr(poly, "_split_roots", spy)
+    assert find_all_roots(poly_from_roots(roots, n), n) == roots
+    assert fresh and sorted(built) == sorted(fresh)
+    assert 96 not in built
 
 
 def _polymul(a, b, n):
