@@ -54,6 +54,13 @@ def main() -> None:
     lifted = lift_shards(shards, n, 0.001)
     print(f"coefficients mod {n}: {list(lifted.coeffs)}")
 
+    if disc.d % 3 and disc.d > 4:
+        g_primes = find_crt_primes(disc, gamma2=True).primes
+        g_shards = build_shards(disc, g_primes)
+        g_lifted = lift_shards(g_shards, n, 0.001, gamma2=True, certify=True)
+        print(f"\ngamma_2 primes {[s.p for s in g_shards]}: G_D mod {n} = "
+              f"{list(g_lifted.coeffs)} (certified), as construct lifts it")
+
     result = construct_curve(n, N)
     E = result.curve
     print(f"\ncurve: y^2 = x^3 + {E.a4}x + {E.a6} over F_{n} (j = {result.j})")

@@ -9,6 +9,7 @@ from .classpoly import (
     build_shard,
     build_shards,
     find_j_invariants,
+    gamma2_poly,
     load_shard,
     poly_from_roots,
     save_shard,
@@ -41,7 +42,7 @@ from .curves import (
     random_point,
     scalar_mul,
 )
-from .primegen import CrtPrime, PrimeSet, find_crt_primes, prime_stats
+from .primegen import CrtPrime, PrimeSet, find_crt_primes, next_crt_prime, prime_stats
 from .quadforms import (
     Discriminant,
     QuadForm,

@@ -256,6 +256,22 @@ def build_shard(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> Shard:
     )
 
 
+def gamma2_poly(shard: Shard) -> PolyModM:
+    """The shard's reduction of the gamma_2 = j^(1/3) class polynomial G_D.
+
+    For p = 2 (mod 3) cubing permutes F_p, so the roots of G_D mod p are
+    the unique cube roots j^((2p - 1)/3) of the shard's j: their cubes are
+    j^(2(p - 1) + 1) = j. For 3 | d, gamma_2 is no class invariant.
+    """
+    p = shard.p
+    if shard.D % 3 == 0:
+        raise ValueError(f"gamma_2 is no class invariant for 3 | D = {shard.D}")
+    if p % 3 != 2:
+        raise ValueError(f"cube roots mod {p} are not unique: p != 2 (mod 3)")
+    e = (2 * p - 1) // 3
+    return poly_from_roots([pow(j, e, p) for j in shard.j_set], p)
+
+
 # ---------------------------------------------------------------------------
 # Shard persistence
 # ---------------------------------------------------------------------------

@@ -212,12 +212,11 @@ def _cmd_construct(args, out) -> int:
         seed=cfg.seed,
         cache_dir=cfg.cache_dir,
     )
-    params = cm.derive_cm_params(args.n, args.N)
     doc = {
         "n": _s(args.n),
         "N": _s(args.N),
-        "t": _s(params.t),
-        "D": _s(params.disc.D),
+        "t": _s(result.t),
+        "D": _s(result.D),
         "h": _s(result.h),
         "j": _s(result.j),
         "a4": _s(result.curve.a4),

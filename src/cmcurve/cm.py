@@ -4,7 +4,11 @@ Given a prime n and a target N inside the Hasse interval, the trace is
 t = n + 1 - N and the discriminant D = t^2 - 4n. The class polynomial for D
 is assembled modulo n from its reductions at small split primes, a root j
 is extracted, and the curve with that j-invariant (or its quadratic twist)
-is the answer. The polynomial arithmetic of root finding lives in poly.py.
+is the answer. For 3 not dividing d the polynomial lifted is that of
+gamma_2 = j^(1/3), whose coefficients have a third of the log-height of
+H_D's, from the same j-shards at the primes p = 2 (mod 3); j is then the
+smallest cube of its roots. The polynomial arithmetic of root finding
+lives in poly.py.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import is_prime, smallest_nonresidue, task_rng
-from .classpoly import PolyModM, build_shards
+from .classpoly import PolyModM, build_shard, build_shards, gamma2_poly
 from .crt import build_basis, crt_mod_n
 from .curves import (
     EXHAUSTIVE_COUNT_MAX,
@@ -30,9 +34,16 @@ from .curves import (
     random_point,
     scalar_mul,
 )
-from .errors import Ambiguous, InvariantViolation, NoRoot, OutsideHasse, ZeroTrace
+from .errors import (
+    Ambiguous,
+    CertificateFailed,
+    InvariantViolation,
+    NoRoot,
+    OutsideHasse,
+    ZeroTrace,
+)
 from .poly import _ModF, _pdivmod, _pgcd, _ptrim, _split_roots
-from .primegen import DEFAULT_EPSILON, find_crt_primes
+from .primegen import DEFAULT_EPSILON, find_crt_primes, next_crt_prime
 from .quadforms import Discriminant, discriminant
 
 
@@ -49,6 +60,8 @@ class CurveResult:
     curve: CurveModP
     j: int
     order: int
+    t: int
+    D: int
     h: int
     primes_used: tuple[int, ...]
     timings: dict = field(default_factory=dict)
@@ -71,16 +84,42 @@ def derive_cm_params(n: int, N: int) -> CmParams:
     return CmParams(n=n, N=N, t=t, disc=disc)
 
 
-def lift_shards(shards, n: int, epsilon: float) -> PolyModM:
+def lift_shards(
+    shards, n: int, epsilon: float, *, gamma2: bool = False, certify: bool = False
+) -> PolyModM:
     """The monic polynomial mod n whose reductions are the given shards.
 
     The shards share one degree h; each of the h lower coefficients is
-    lifted by the modular CRT over the shard primes.
+    lifted by the modular CRT over the shard primes. With gamma2 the
+    reductions are the shards' gamma2_poly, which needs every p = 2 (mod 3),
+    and the result is the gamma_2 class polynomial mod n.
+
+    With certify the lift is checked at a spare prime: the next prime q of
+    the same search past the shards is taken, its shard is built, and the
+    same residues lifted to q over the same moduli must give its
+    reduction exactly, else CertificateFailed. This catches a wrong
+    residue and a coefficient that is not below (1/2 - epsilon) M; a lift
+    to a basis prime catches neither, as it returns that prime's residue.
     """
-    basis = build_basis([s.p for s in shards], n, epsilon)
+    reduction = gamma2_poly if gamma2 else (lambda s: s.poly)
+    polys = [reduction(s) for s in shards]
+    moduli = [s.p for s in shards]
+    lifted = _lift_polys(moduli, polys, n, epsilon)
+    if certify:
+        disc = discriminant(shards[0].D)
+        cq = next_crt_prime(disc.d, max(s.t for s in shards), gamma2=gamma2)
+        if _lift_polys(moduli, polys, cq.p, epsilon) != reduction(build_shard(disc, cq)):
+            raise CertificateFailed(
+                f"lift over {len(moduli)} primes disagrees with the shard at q = {cq.p}"
+            )
+    return lifted
+
+
+def _lift_polys(moduli, polys, n: int, epsilon: float) -> PolyModM:
+    basis = build_basis(moduli, n, epsilon)
     coeffs = [
-        crt_mod_n(basis, [s.poly.coeffs[i] for s in shards])
-        for i in range(shards[0].h)
+        crt_mod_n(basis, [f.coeffs[i] for f in polys])
+        for i in range(polys[0].degree)
     ]
     return PolyModM(modulus=n, coeffs=tuple(coeffs) + (1,))
 
@@ -148,12 +187,13 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
     return roots
 
 
-def find_root_mod_n(poly: PolyModM, n: int, seed=0) -> int:
-    """Smallest root of poly mod n; raises NoRoot when there is none."""
+def find_root_mod_n(poly: PolyModM, n: int, seed=0, *, power: int = 1) -> int:
+    """Smallest root of poly mod n, or with power = e the smallest r^e mod n
+    over its roots r; raises NoRoot when there is none."""
     roots = find_all_roots(poly, n, seed)
     if not roots:
         raise NoRoot(f"polynomial has no root mod {n}")
-    return roots[0]
+    return min(pow(r, power, n) for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +273,13 @@ def construct_curve(
 ) -> CurveResult:
     """A verified curve over F_n with exactly N points.
 
-    The root of the class polynomial is the smallest one unless force_j
-    picks another. verify_order decides the branch: the curve with that j
-    if it verifies with N points, else its quadratic twist, which must.
+    j is the smallest root of the class polynomial H_D mod n unless
+    force_j picks another. For d > 4 with 3 not dividing d, the lift is
+    that of G_D, the gamma_2 class polynomial, over the primes
+    p = 2 (mod 3); its roots cube to the roots of H_D (G_D(X) divides
+    H_D(X^3)), so j is the smallest cube of a root. verify_order decides
+    the branch: the curve with that j if it verifies with N points, else
+    its quadratic twist, which must.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -244,9 +288,9 @@ def construct_curve(
     timings["derive"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    prime_set = None
+    prime_set, gamma2 = None, disc.d % 3 != 0
     if disc.d > 4:
-        prime_set = find_crt_primes(disc, epsilon=epsilon)
+        prime_set = find_crt_primes(disc, epsilon=epsilon, gamma2=gamma2)
     timings["primes"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -259,20 +303,23 @@ def construct_curve(
         E = _special_j_curve(n, N, j, seed)
         timings["construct"] = time.perf_counter() - t0
         return CurveResult(
-            curve=E, j=j, order=N, h=disc.h, primes_used=(), timings=timings
+            curve=E, j=j, order=N, t=params.t, D=disc.D, h=disc.h,
+            primes_used=(), timings=timings,
         )
 
     shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
-    poly = lift_shards(shards, n, epsilon)
+    poly = lift_shards(shards, n, epsilon, gamma2=gamma2)
     timings["hilbert"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    power = 3 if gamma2 else 1
     if force_j is not None:
         j = force_j % n
-        if poly.evaluate(j) != 0:
+        # some root r has r^power = j iff X^power - j and poly share a factor
+        if len(_pgcd([-j % n] + [0] * (power - 1) + [1], poly.coeffs, n)) < 2:
             raise ValueError("force_j is not a root of the class polynomial")
     else:
-        j = find_root_mod_n(poly, n, seed)
+        j = find_root_mod_n(poly, n, seed, power=power)
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -289,6 +336,8 @@ def construct_curve(
         curve=E,
         j=j,
         order=N,
+        t=params.t,
+        D=disc.D,
         h=disc.h,
         primes_used=tuple(s.p for s in shards),
         timings=timings,

@@ -62,6 +62,12 @@ class PrecisionBudgetExceeded(DomainError):
     """Fixed-point error budget would exceed epsilon (internal assertion)."""
 
 
+class CertificateFailed(DomainError):
+    """A CRT lift disagreed with the shard of a spare prime outside its
+    basis: a residue is wrong, or a coefficient is not below
+    (1/2 - epsilon) M, so the lift mod n cannot be trusted."""
+
+
 class OutsideHasse(DomainError):
     """Requested group order lies outside [p+1-2*sqrt(p), p+1+2*sqrt(p)]."""
 

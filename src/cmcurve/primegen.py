@@ -3,7 +3,9 @@
 Each such prime splits into principal ideals in Q(sqrt(-d)), which is what
 makes the per-prime class polynomial recoverable from point counts alone.
 The search walks t upward with the parity forced by 4 | t^2 + d and stops
-once the product of the primes found exceeds the requested target.
+once the product of the primes found exceeds the requested target. The
+search for the gamma_2 class polynomial keeps only the p = 2 (mod 3), to a
+target of a third of the height.
 """
 
 from __future__ import annotations
@@ -45,15 +47,40 @@ class PrimeStats:
     max_p_over_logB_sq: float
 
 
-def default_target_log(disc: Discriminant, epsilon: float = DEFAULT_EPSILON) -> float:
-    """log of the reconstruction threshold M = B / (1/2 - epsilon)."""
+def default_target_log(
+    disc: Discriminant, epsilon: float = DEFAULT_EPSILON, *, gamma2: bool = False
+) -> float:
+    """log of the reconstruction threshold M = B / (1/2 - epsilon).
+
+    With gamma2 the bound is the one of the gamma_2 = j^(1/3) class
+    polynomial: |gamma_2| = |j|^(1/3), so the exponential part of log B is
+    divided by 3 and the binomial factor C(h, floor(h/2)) is kept.
+    """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
-    return disc.log_B - math.log(0.5 - epsilon)
+    log_b = disc.log_B
+    if gamma2:
+        log_c = math.log(math.comb(disc.h, disc.h // 2))
+        log_b = log_c + (log_b - log_c) / 3
+    return log_b - math.log(0.5 - epsilon)
 
 
 def _default_t_cap(target_log: float) -> int:
     return 10 ** 6 * max(1, math.ceil(math.log(max(target_log, math.e))))
+
+
+def _split_primes(d: int, t: int, gamma2: bool, cap: int | None = None):
+    """CrtPrime(p, t') for every prime p = (t'^2 + d)/4 > 3 not dividing d,
+    for t' = t, t + 2, ... in turn, hence ascending in p; with gamma2 only
+    the p = 2 (mod 3). t must have the parity of d. Raises
+    SearchLimitExceeded once t' passes cap."""
+    while cap is None or t <= cap:
+        p, rem = divmod(t * t + d, 4)
+        if (rem == 0 and p > 3 and d % p != 0 and (not gamma2 or p % 3 == 2)
+                and is_prime(p)):
+            yield CrtPrime(p=p, t=t)
+        t += 2
+    raise SearchLimitExceeded(f"prime search for d = {d} passed t = {cap}")
 
 
 def find_crt_primes(
@@ -62,6 +89,7 @@ def find_crt_primes(
     *,
     epsilon: float = DEFAULT_EPSILON,
     t_cap: int | None = None,
+    gamma2: bool = False,
 ) -> PrimeSet:
     """Smallest-first primes of the form (t^2 + d)/4 whose product exceeds
     exp(target_log).
@@ -70,37 +98,48 @@ def find_crt_primes(
     p <= 3 and primes dividing 6d are skipped (the curve model needs
     characteristic > 3 and an unramified prime; for t >= 1 no p > 3 can
     divide d anyway).
+
+    With gamma2 the search keeps only p = 2 (mod 3), where cubing permutes
+    F_p, so that each j-shard gives the reduction of the gamma_2 class
+    polynomial (classpoly.gamma2_poly); the default target is then that
+    polynomial's. As 4p = t^2 + d, p = 2 (mod 3) means 3 does not divide t
+    when d = 1 (mod 3) and 3 divides t when d = 2 (mod 3); for 3 | d there
+    is no such p, and the search refuses.
     """
     d = disc.d
     if d % 8 == 7:
         raise NoPrimesPossible(
             f"d = {d} = 7 (mod 8): (t^2 + d)/4 is even whenever it is an integer"
         )
+    if gamma2 and d % 3 == 0:
+        raise ValueError(f"gamma_2 is no class invariant for 3 | d = {d}")
     if target_log is None:
-        target_log = default_target_log(disc, epsilon)
+        target_log = default_target_log(disc, epsilon, gamma2=gamma2)
     if target_log < 0:
         raise ValueError("target_log must be nonnegative")
     cap = t_cap if t_cap is not None else _default_t_cap(target_log)
 
     primes: list[CrtPrime] = []
     log_product = 0.0
-    t = 1 if d % 2 else 2  # 4 | t^2 + d forces t odd iff d is odd
+    # 4 | t^2 + d forces t odd iff d is odd
+    found = _split_primes(d, 1 if d % 2 else 2, gamma2, cap)
     while not primes or log_product < target_log + _LOG_GUARD:
-        if t > cap:
-            raise SearchLimitExceeded(
-                f"no prime product above e^{target_log:.1f} with t <= {cap}"
-            )
-        p, rem = divmod(t * t + d, 4)
-        if rem == 0 and p > 3 and d % p != 0 and is_prime(p):
-            primes.append(CrtPrime(p=p, t=t))
-            log_product += math.log(p)
-        t += 2
+        cp = next(found)
+        primes.append(cp)
+        log_product += math.log(cp.p)
     return PrimeSet(
         disc=disc,
         primes=tuple(primes),
         log_product=log_product,
         target_log=target_log,
     )
+
+
+def next_crt_prime(d: int, t: int, *, gamma2: bool = False) -> CrtPrime:
+    """The prime that the search of find_crt_primes, with the same gamma2,
+    takes next after the one of trace t: past a prime set's largest t, the
+    first prime outside the set."""
+    return next(_split_primes(d, t + 2, gamma2))
 
 
 def prime_stats(prime_set: PrimeSet) -> PrimeStats:

@@ -17,6 +17,7 @@ from cmcurve.classpoly import (
     build_shard,
     build_shards,
     find_j_invariants,
+    gamma2_poly,
     isogeny_table,
     load_shard,
     poly_from_roots,
@@ -393,3 +394,66 @@ def test_integer_reconstruction_reduces_back_to_every_shard():
     ]
     for s in shards:
         assert tuple(v % s.p for v in ints) == s.poly.coeffs[:-1]
+
+
+def test_gamma2_poly_takes_the_cube_roots_of_the_shard():
+    disc = discriminant(-59)
+    for p, (t, js, _) in D59_TABLE.items():
+        shard = build_shard(disc, CrtPrime(p, t))
+        if p % 3 != 2:
+            with pytest.raises(ValueError):
+                gamma2_poly(shard)
+            continue
+        g = gamma2_poly(shard)
+        roots = [x for x in range(p) if g.evaluate(x) == 0]
+        assert len(roots) == 3
+        assert sorted(pow(x, 3, p) for x in roots) == js
+
+
+# Integer class polynomials from shards alone: H_D over the j search's
+# primes, G_D (gamma_2 = j^(1/3)) over the gamma_2 search's, both by the
+# classic integer CRT.
+ORACLE_D = [-59, -83, -131, -523, -2083]
+G59_INT = [720896, 68608, 3136, 1]
+
+
+@pytest.fixture(scope="module")
+def oracle_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle_shards")
+
+
+def _integer_class_poly(disc, gamma2, cache):
+    from cmcurve.crt import crt_integer
+
+    primes = find_crt_primes(disc, gamma2=gamma2).primes
+    shards = build_shards(disc, primes, cache_dir=cache)
+    polys = [gamma2_poly(s) if gamma2 else s.poly for s in shards]
+    moduli = [s.p for s in shards]
+    return [
+        crt_integer(moduli, [f.coeffs[i] for f in polys]) for i in range(disc.h)
+    ] + [1]
+
+
+def test_gamma2_class_polynomial_d59(oracle_cache):
+    assert _integer_class_poly(discriminant(-59), True, oracle_cache) == G59_INT
+
+
+@pytest.mark.parametrize("D", ORACLE_D)
+def test_gamma2_class_polynomial_divides_h_of_x_cubed(D, oracle_cache):
+    disc = discriminant(D)
+    h = disc.h
+    H = _integer_class_poly(disc, False, oracle_cache)
+    G = _integer_class_poly(disc, True, oracle_cache)
+    # long division of H(X^3) by the monic G over Z
+    rem = [0] * (3 * h + 1)
+    rem[::3] = H
+    for k in range(3 * h, h - 1, -1):
+        q = rem[k]
+        for i, g in enumerate(G):
+            rem[k - h + i] -= q * g
+    assert not any(rem)
+    # the roots of G cube to those of H, so the constant terms do too, and
+    # the constant term is the largest coefficient of either
+    assert G[0] ** 3 == H[0]
+    height = [math.log(max(abs(c) for c in f)) for f in (G, H)]
+    assert height[0] / height[1] == pytest.approx(1 / 3, rel=1e-9)

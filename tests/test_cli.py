@@ -113,7 +113,18 @@ def test_construct_json():
     assert doc["D"] == "-59"
     assert doc["j"] == "4160"
     assert doc["a4"] == "11187" and doc["a6"] == "7458"
+    assert doc["primes_used"] == ["17", "71", "197", "521"]
     assert "wall_times" not in doc
+
+
+def test_construct_derives_the_cm_parameters_once(monkeypatch):
+    from cmcurve import cm
+
+    calls, real = [], cm.derive_cm_params
+    monkeypatch.setattr(cm, "derive_cm_params", lambda n, N: calls.append(n) or real(n, N))
+    code, out = run_cli("construct", "-n", "141767", "-N", "142521", "--json")
+    assert code == 0 and json.loads(out)["t"] == "-753"
+    assert calls == [141767]
 
 
 def test_construct_timings_flag():

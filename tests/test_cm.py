@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from cmcurve.cm import (
     find_all_roots,
     find_root_mod_n,
     hilbert_mod_n,
+    lift_shards,
     verify_order,
 )
 from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
@@ -28,8 +31,18 @@ from cmcurve.curves import (
     random_point,
     scalar_mul,
 )
-from cmcurve.errors import Ambiguous, NoRoot, NotFundamental, OutsideHasse, ZeroTrace
-from cmcurve.quadforms import is_fundamental
+from cmcurve.errors import (
+    Ambiguous,
+    CertificateFailed,
+    NoRoot,
+    NotFundamental,
+    OutsideHasse,
+    ZeroTrace,
+)
+from cmcurve.classpoly import build_shards, gamma2_poly
+from cmcurve.crt import crt_integer
+from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes
+from cmcurve.quadforms import discriminant, is_fundamental
 
 N59 = 141767
 H59_MOD_N = (48400, 73152, 31177, 1)
@@ -114,7 +127,9 @@ def test_construct_curve_main_example():
     assert result.order == 142521
     assert result.j == 4160  # smallest of the three roots
     assert point_count_naive(result.curve) == 142521
-    assert result.primes_used == (17, 71, 197, 521, 827, 1907, 3797, 5417)
+    # 3 does not divide 59: the gamma_2 lift, over the primes p = 2 (mod 3)
+    assert result.primes_used == (17, 71, 197, 521)
+    assert (result.t, result.D) == (-753, -59)
 
 
 def test_construct_curve_forced_root_gives_published_curve():
@@ -310,3 +325,118 @@ def test_inexact_division_raises_under_python_O():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.stdout == "raised\n"
+
+
+G59_MOD_N = (12061, 68608, 3136, 1)  # G_-59 = X^3 + 3136X^2 + 68608X + 720896
+
+
+def test_gamma2_lift_d59_and_its_root_cubes_to_j():
+    disc = discriminant(-59)
+    shards = build_shards(disc, find_crt_primes(disc, gamma2=True).primes)
+    G = lift_shards(shards, N59, DEFAULT_EPSILON, gamma2=True)
+    assert G.coeffs == G59_MOD_N
+    # 141767 = 2 (mod 3): cubing permutes F_n, and the roots cube to H's
+    roots = find_all_roots(G, N59)
+    assert sorted(pow(r, 3, N59) for r in roots) == [4160, 118481, 129716]
+    assert find_root_mod_n(G, N59, power=3) == 4160
+    assert find_root_mod_n(G, N59) == min(roots)
+
+
+def test_gamma2_root_step_agrees_with_the_j_lift_when_n_is_1_mod_3():
+    # cubing is 3-to-1 on F_n*, yet the cubes of G's roots are H's roots;
+    # n = 1 (mod 3) needs d = 1 (mod 3), here 523, and 3 | t
+    t = next(t for t in range(1005, 3001, 6) if is_prime((t * t + 523) // 4))
+    n = (t * t + 523) // 4
+    assert n % 3 == 1
+    result = construct_curve(n, n + 1 - t)
+    assert len(result.primes_used) == 7
+    assert result.j == find_root_mod_n(hilbert_mod_n(discriminant(-523), n), n)
+    assert point_count_naive(result.curve) == n + 1 - t
+
+
+def test_construct_curve_keeps_the_j_lift_when_3_divides_d():
+    # D = -51: 3 | d, so gamma_2 is no class invariant
+    t = next(t for t in range(1001, 2001, 2) if is_prime((t * t + 51) // 4))
+    n = (t * t + 51) // 4
+    result = construct_curve(n, n + 1 - t)
+    disc = discriminant(-51)
+    assert result.D == -51
+    assert result.primes_used == tuple(cp.p for cp in find_crt_primes(disc).primes)
+    assert hilbert_mod_n(disc, n).evaluate(result.j) == 0
+    assert point_count_naive(result.curve) == n + 1 - t
+
+
+# The spare-prime certificate, on both invariants.
+CERT_D = [-59, -83, -131, -523, -2083]
+CERT_N = 1000003
+
+
+@pytest.fixture(scope="module")
+def cert_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("cert_shards")
+
+
+def _cert_shards(D, gamma2, cache):
+    disc = discriminant(D)
+    return build_shards(
+        disc, find_crt_primes(disc, gamma2=gamma2).primes, cache_dir=cache
+    )
+
+
+@pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
+@pytest.mark.parametrize("D", CERT_D)
+def test_certified_lift_equals_the_plain_lift(D, gamma2, cert_cache):
+    shards = _cert_shards(D, gamma2, cert_cache)
+    plain = lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2)
+    certified = lift_shards(
+        shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True
+    )
+    assert certified == plain
+
+
+def test_certificate_builds_the_next_shard_of_the_search(cert_cache, monkeypatch):
+    built = []
+    real = cm.build_shard
+    monkeypatch.setattr(cm, "build_shard", lambda disc, cp: built.append(cp.p) or real(disc, cp))
+    for gamma2 in (False, True):
+        shards = _cert_shards(-59, gamma2, cert_cache)
+        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)
+    assert built == [5867, 827]
+
+
+@pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
+def test_certificate_rejects_a_residue_off_by_one(gamma2, cert_cache, monkeypatch):
+    shards = _cert_shards(-59, gamma2, cert_cache)
+    p = shards[1].p
+
+    def bumped(f):
+        return PolyModM(f.modulus, ((f.coeffs[0] + 1) % f.modulus,) + f.coeffs[1:])
+
+    if gamma2:
+        real = cm.gamma2_poly
+        monkeypatch.setattr(
+            cm, "gamma2_poly", lambda s: bumped(real(s)) if s.p == p else real(s)
+        )
+    else:
+        shards[1] = dataclasses.replace(shards[1], poly=bumped(shards[1].poly))
+    lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
+    with pytest.raises(CertificateFailed):
+        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)
+
+
+@pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
+def test_certificate_rejects_a_basis_cut_below_a_coefficient(gamma2, cert_cache):
+    shards = _cert_shards(-59, gamma2, cert_cache)
+    polys = [gamma2_poly(s) if gamma2 else s.poly for s in shards]
+    moduli = [s.p for s in shards]
+    top = max(
+        abs(crt_integer(moduli, [f.coeffs[i] for f in polys])) for i in range(3)
+    )
+    # the longest prefix whose (1/2 - epsilon) M falls below that coefficient
+    k = max(
+        k for k in range(1, len(shards))
+        if (0.5 - DEFAULT_EPSILON) * math.prod(moduli[:k]) < top
+    )
+    lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
+    with pytest.raises(CertificateFailed):
+        lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)

@@ -5,7 +5,13 @@ import pytest
 
 from cmcurve.arith import is_prime
 from cmcurve.errors import NoPrimesPossible, SearchLimitExceeded
-from cmcurve.primegen import CrtPrime, default_target_log, find_crt_primes, prime_stats
+from cmcurve.primegen import (
+    CrtPrime,
+    default_target_log,
+    find_crt_primes,
+    next_crt_prime,
+    prime_stats,
+)
 from cmcurve.quadforms import discriminant, is_fundamental
 
 D59_PRIMES = [17, 71, 197, 521, 827, 1907, 3797, 5417]
@@ -127,3 +133,78 @@ def test_prime_lists_match_the_recorded_digests():
 @pytest.mark.parametrize("D", sorted(PINNED_LOG_B))
 def test_log_b_matches_the_recorded_value(D):
     assert discriminant(D).log_B == pytest.approx(PINNED_LOG_B[D], rel=1e-12, abs=0)
+
+
+# The construct workloads' discriminants: the 41 cold ones (perfbench's
+# cold_discriminants) and the 3 warm ones. The gamma_2 search covers those
+# with 3 not dividing d.
+COLD_D = [
+    -8, -11, -19, -20, -24, -35, -40, -43, -51, -52, -67, -83, -88, -91,
+    -107, -115, -123, -139, -148, -163, -187, -211, -232, -235, -259, -267,
+    -283, -307, -331, -355, -379, -403, -427, -499, -547, -643, -667, -715,
+    -763, -883, -907,
+]
+WARM_D = [-59, -523, -2083]
+COLD_GAMMA2_PRIMES_SHA256 = "53cbd1659e0c9d0eb08bc1f38ed23b856fc4faf1279a7f9a9e6e6508dbf98991"
+WARM_GAMMA2_PRIMES_SHA256 = "d0e258b1fdea32ab73d3bd7823a2bb7ae809a465faf912bd4d5364c3925934ec"
+
+
+def _gamma2_digest(Ds):
+    digest = hashlib.sha256()
+    for D in Ds:
+        ps = find_crt_primes(discriminant(D), gamma2=True)
+        line = f"{D}:" + " ".join(f"{cp.p},{cp.t}" for cp in ps.primes) + "\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_gamma2_prime_lists_match_the_recorded_digests():
+    cold = [D for D in COLD_D if D % 3]
+    assert len(cold) == 37
+    assert _gamma2_digest(cold) == COLD_GAMMA2_PRIMES_SHA256
+    assert _gamma2_digest(WARM_D) == WARM_GAMMA2_PRIMES_SHA256
+    assert sum(
+        cp.p
+        for D in COLD_D
+        for cp in find_crt_primes(discriminant(D), gamma2=D % 3 != 0).primes
+    ) == 40757
+
+
+def test_d59_gamma2_prime_list_and_target():
+    disc = discriminant(-59)
+    ps = find_crt_primes(disc, gamma2=True)
+    assert [(cp.p, cp.t) for cp in ps.primes] == [(17, 3), (71, 15), (197, 27), (521, 45)]
+    log_c = math.log(3)  # C(3, 1)
+    assert ps.target_log == pytest.approx(
+        log_c + (disc.log_B - log_c) / 3 - math.log(0.499)
+    )
+    assert ps.target_log == default_target_log(disc, gamma2=True)
+    assert sum(math.log(p) for p in (17, 71, 197)) < ps.target_log < ps.log_product
+
+
+@pytest.mark.parametrize("D", [-59, -83, -131, -523, -2083, -832603])
+def test_gamma2_primes_are_2_mod_3_in_search_order(D):
+    disc = discriminant(D)
+    primes = find_crt_primes(disc, gamma2=True).primes
+    d = disc.d
+    every = [
+        CrtPrime((t * t + d) // 4, t)
+        for t in range(d % 2 or 2, primes[-1].t + 1, 2)
+        if (t * t + d) % 4 == 0 and is_prime((t * t + d) // 4)
+    ]
+    assert list(primes) == [cp for cp in every if cp.p % 3 == 2]
+    for cp in primes:
+        assert cp.p % 3 == 2
+        # p = 2 (mod 3): 3 does not divide t for d = 1, and divides it for d = 2
+        assert (cp.t % 3 == 0) == (disc.d % 3 == 2)
+
+
+def test_gamma2_search_refuses_3_dividing_d():
+    with pytest.raises(ValueError):
+        find_crt_primes(discriminant(-51), gamma2=True)
+
+
+def test_next_crt_prime_continues_either_search():
+    assert next_crt_prime(59, 147) == CrtPrime(5867, 153)
+    assert next_crt_prime(59, 45, gamma2=True) == CrtPrime(827, 57)
+    assert next_crt_prime(832603, 2215) == CrtPrime(1436923, 2217)

@@ -23,6 +23,12 @@ GUARD_TESTS = [
     "tests/test_classpoly.py::test_isogeny_table_against_torsion_and_trace_at_every_small_prime",
     "tests/test_primegen.py::test_prime_lists_match_the_recorded_digests",
     "tests/test_primegen.py::test_log_b_matches_the_recorded_value",
+    "tests/test_primegen.py::test_gamma2_prime_lists_match_the_recorded_digests",
+    "tests/test_classpoly.py::test_gamma2_class_polynomial_d59",
+    "tests/test_classpoly.py::test_gamma2_class_polynomial_divides_h_of_x_cubed",
+    "tests/test_cm.py::test_certified_lift_equals_the_plain_lift",
+    "tests/test_cm.py::test_certificate_rejects_a_residue_off_by_one",
+    "tests/test_cm.py::test_certificate_rejects_a_basis_cut_below_a_coefficient",
 ]
 
 
@@ -33,5 +39,6 @@ def test_guard_tests_pass_under_python_O():
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # 4 forged shards and 4 pinned log B values are parametrized cases
-    assert re.search(r"^15 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # parametrized cases: 4 forged shards, 4 pinned log B values, 5 oracle
+    # discriminants, 10 certified lifts and 2 of each certificate mutant
+    assert re.search(r"^36 passed\b", proc.stdout, re.MULTILINE), proc.stdout

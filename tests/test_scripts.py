@@ -20,6 +20,7 @@ def test_small_pipeline_demo(monkeypatch, capsys):
     demo.main()
     out = capsys.readouterr().out
     assert "coefficients mod 141767: [48400, 73152, 31177" in out
+    assert "G_D mod 141767 = [12061, 68608, 3136, 1] (certified)" in out
     assert "exhaustive count: 142521 (wanted 142521)" in out
 
 
