@@ -2,12 +2,13 @@
 pairs, and summarise the end-to-end metrics into one JSON file.
 
     python3 scripts/bench_pairs.py --parent REV --seeds 11 12 --pairs 10 \\
-        --out BENCH_<n>.json
+        --out BENCH_<n>.json [--workloads NAME ...]
 
 The parent's committed files are exported with `git archive` into a
 temporary directory; the change is the working tree of this checkout. For
-every workload in BENCHMARK.json, pair i runs `perfbench/run.py --trace 0`
-for the benchmark's run length once on each side with seed
+every workload in BENCHMARK.json, or those named by --workloads, pair i
+runs `perfbench/run.py --trace 0` for the benchmark's run length once on
+each side with seed
 seeds[i % len(seeds)], the parent first in even pairs and the change first
 in odd ones, so a drift in machine speed hits both sides alike. The output
 gives, per workload and metric, each side's median and quartiles and the
@@ -82,23 +83,32 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def main(argv=None) -> int:
+def parse_args(argv, workloads) -> argparse.Namespace:
+    """The command line; workloads names the benchmark's workloads, of
+    which --workloads picks some (all by default), each once."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", required=True)
+    ap.add_argument("--workloads", nargs="+", choices=workloads,
+                    default=workloads, metavar="NAME")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to give quartiles")
+    args.workloads = list(dict.fromkeys(args.workloads))
+    return args
 
+
+def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = export(args.parent, Path(tmp)), ROOT
         summary = {}
-        for wl in (w["name"] for w in spec["workloads"]):
+        for wl in args.workloads:
             pairs = []
             for i in range(args.pairs):
                 seed = args.seeds[i % len(args.seeds)]

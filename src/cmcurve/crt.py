@@ -4,8 +4,10 @@ crt_mod_n recovers x mod n from residues of a signed integer x with
 |x| < (1/2 - epsilon) * M, M the product of the moduli, without ever
 materialising x: the rounded quotient r = floor(z/M + 1/2) is estimated in
 low-precision fixed point, which is enough because z/M + 1/2 is
-guaranteed to stay at least epsilon away from every integer. M is formed
-once per basis; nothing of its size is formed per coefficient.
+guaranteed to stay at least epsilon away from every integer. The basis
+half that depends only on the moduli is memoised per prime set, the half
+that depends on n comes from products mod n, and each lift is then two
+dot products: nothing of the size of M is formed per n or coefficient.
 
 crt_integer is the classic reconstruction that does materialise the
 integer; it serves as the independent oracle for the modular route.
@@ -15,21 +17,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from operator import lt, mul
 from typing import Sequence
 
 from .arith import mod_inverse
 from .errors import NotCoprime, PrecisionBudgetExceeded
 
 _GUARD_BITS = 8
+# prime sets whose n-independent half is kept: a warm construct over a few
+# discriminants cycles through a handful of them
+_PRIME_SET_CACHE_MAX = 4
 
 
 @dataclass(frozen=True)
 class CrtBasis:
     """Precomputed data shared by every coefficient lift.
 
-    inverses[i] is (M/m_i)^(-1) mod m_i. M is formed once to build the
-    basis and not kept; only M mod n and each (M/m_i) mod n are, taken by
-    exact division, so no modulus needs to be invertible mod n.
+    inverses[i] is a_i = (M/m_i)^(-1) mod m_i and reciprocals[i] is
+    floor(a_i 2^shift / m_i), shift = scale_bits + bitlen(max m_i), shared
+    by every basis over the same moduli and epsilon. M mod n and
+    M_i_mod_n[i] = (M/m_i) mod n come from prefix and suffix products mod
+    n, so no modulus needs to be invertible mod n; weights[i] is
+    a_i (M/m_i) mod n.
     """
 
     moduli: tuple[int, ...]
@@ -39,53 +50,75 @@ class CrtBasis:
     M_mod_n: int
     M_i_mod_n: tuple[int, ...]
     scale_bits: int
+    shift: int
+    reciprocals: tuple[int, ...]
+    weights: tuple[int, ...]
 
 
 def _check_residues(basis: CrtBasis, residues: Sequence[int]) -> None:
     if len(residues) != len(basis.moduli):
         raise ValueError("residue vector length does not match the basis")
-    for x, m in zip(residues, basis.moduli):
-        if not 0 <= x < m:
-            raise ValueError(f"residue {x} not reduced mod {m}")
+    if min(residues) < 0 or not all(map(lt, residues, basis.moduli)):
+        for x, m in zip(residues, basis.moduli):
+            if not 0 <= x < m:
+                raise ValueError(f"residue {x} not reduced mod {m}")
 
 
-def build_basis(moduli: Sequence[int], n: int, epsilon: float = 0.001) -> CrtBasis:
-    """Precompute inverses and mod-n data for the given pairwise coprime
-    moduli.
+@lru_cache(maxsize=_PRIME_SET_CACHE_MAX)
+def _prime_set(moduli: tuple[int, ...], epsilon: float):
+    """(inverses, scale_bits, shift, reciprocals) for the moduli.
 
     M/m_i is invertible mod m_i exactly when m_i is coprime to every other
     modulus, so the inverses check coprimality; only when one is missing
     does a pairwise scan find the two moduli to name.
     """
-    moduli = tuple(moduli)
     if not moduli:
         raise ValueError("at least one modulus required")
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
-    if n < 2:
-        raise ValueError("target modulus must be >= 2")
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
     ell = len(moduli)
     M = math.prod(moduli)
-    inverses, M_i_mod_n = [], []
+    inverses = []
     for m in moduli:
-        cofactor = M // m
         try:
-            inverses.append(pow(cofactor % m, -1, m))
+            inverses.append(pow(M // m % m, -1, m))
         except ValueError:
             _check_coprime(moduli)  # raises, naming the two moduli
             raise
-        M_i_mod_n.append(cofactor % n)
-    scale_bits = max(0, math.ceil(math.log2(ell / epsilon))) + _GUARD_BITS
+    s = max(0, math.ceil(math.log2(ell / epsilon))) + _GUARD_BITS
+    if ell >= epsilon * (1 << s):
+        raise PrecisionBudgetExceeded(
+            f"{ell} terms at {s} fractional bits exceed epsilon = {epsilon}"
+        )
+    shift = s + max(moduli).bit_length()
+    reciprocals = tuple((a << shift) // m for a, m in zip(inverses, moduli))
+    return tuple(inverses), s, shift, reciprocals
+
+
+def build_basis(moduli: Sequence[int], n: int, epsilon: float = 0.001) -> CrtBasis:
+    """The basis for the given pairwise coprime moduli and target n; the
+    n-independent half is memoised per (moduli, epsilon)."""
+    moduli = tuple(moduli)
+    inverses, scale_bits, shift, reciprocals = _prime_set(moduli, epsilon)
+    if n < 2:
+        raise ValueError("target modulus must be >= 2")
+    step = lambda acc, m: acc * m % n
+    prefix = list(accumulate(moduli, step, initial=1))
+    suffix = list(accumulate(reversed(moduli), step, initial=1))
+    M_i_mod_n = tuple(a * b % n for a, b in zip(prefix, suffix[-2::-1]))
     return CrtBasis(
         moduli=moduli,
-        inverses=tuple(inverses),
+        inverses=inverses,
         n=n,
         epsilon=epsilon,
-        M_mod_n=M % n,
-        M_i_mod_n=tuple(M_i_mod_n),
+        M_mod_n=prefix[-1],
+        M_i_mod_n=M_i_mod_n,
         scale_bits=scale_bits,
+        shift=shift,
+        reciprocals=reciprocals,
+        weights=tuple(a * v % n for a, v in zip(inverses, M_i_mod_n)),
     )
 
 
@@ -101,34 +134,24 @@ def _check_coprime(moduli) -> None:
 def round_quotient(basis: CrtBasis, residues: Sequence[int]) -> int:
     """r = floor(z/M + 1/2), where z = sum a_i M_i x_i, from fixed point.
 
-    z/M = sum a_i x_i / m_i is summed with scale_bits fractional bits; each
-    term truncates by under one ulp, so the total falls short of the true
-    value by less than epsilon/2^8. Since z/M + 1/2 is at least epsilon
-    away from any integer whenever the reconstruction precondition
-    |x| < (1/2 - epsilon) M holds, the rounding is exact.
+    z/M = sum a_i x_i / m_i is summed as sum x_i c_i over the reciprocals
+    c_i = floor(a_i 2^S / m_i). Each c_i falls short by under one unit and
+    x_i < 2^(S - scale_bits), so the total falls short of 2^S z/M by less
+    than ell 2^S / 2^scale_bits, i.e. z/M by less than epsilon/2^8. Since
+    z/M + 1/2 is at least epsilon away from any integer whenever the
+    reconstruction precondition |x| < (1/2 - epsilon) M holds, the
+    rounding is exact.
     """
     _check_residues(basis, residues)
-    s = basis.scale_bits
-    ell = len(basis.moduli)
-    if ell >= basis.epsilon * (1 << s):
-        raise PrecisionBudgetExceeded(
-            f"{ell} terms at {s} fractional bits exceed epsilon = {basis.epsilon}"
-        )
-    total = sum(
-        (a * x << s) // m for a, x, m in zip(basis.inverses, residues, basis.moduli)
-    )
-    return (total + (1 << (s - 1))) >> s
+    S = basis.shift
+    return (sum(map(mul, residues, basis.reciprocals)) + (1 << (S - 1))) >> S
 
 
 def crt_mod_n(basis: CrtBasis, residues: Sequence[int]) -> int:
     """The unique x with |x| < (1/2 - epsilon) M matching the residues,
     reduced into [0, n)."""
     r = round_quotient(basis, residues)  # validates the residues
-    n = basis.n
-    acc = 0
-    for a, x, mi_mod_n in zip(basis.inverses, residues, basis.M_i_mod_n):
-        acc = (acc + (a * x % n) * mi_mod_n) % n
-    return (acc - (r % n) * basis.M_mod_n) % n
+    return (sum(map(mul, residues, basis.weights)) - r * basis.M_mod_n) % basis.n
 
 
 def crt_integer(moduli, residues: Sequence[int]) -> int:

@@ -1,7 +1,10 @@
-"""The pair summary of scripts/bench_pairs.py, on synthetic runs."""
+"""The pair summary of scripts/bench_pairs.py, on synthetic runs, and its
+command line."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
@@ -38,3 +41,23 @@ def test_summary_reports_incorrect_and_failed_runs():
     assert not out["correct"]
     assert out["failed"] == 3
     assert out["metrics"]["wall_s"]["change_wins"] == 0
+
+
+NAMES = ["construct_cold", "construct_warm", "lift_h96"]
+BASE = ["--parent", "HEAD", "--seeds", "1", "2", "--pairs", "10", "--out", "x.json"]
+
+
+def test_workloads_default_to_all_and_pick_named_ones_once():
+    parse = _module().parse_args
+    assert parse(BASE, NAMES).workloads == NAMES
+    picked = parse(BASE + ["--workloads", "lift_h96", "construct_cold", "lift_h96"], NAMES)
+    assert picked.workloads == ["lift_h96", "construct_cold"]
+    assert (picked.parent, picked.seeds, picked.pairs) == ("HEAD", [1, 2], 10)
+
+
+def test_arguments_rejected():
+    parse = _module().parse_args
+    for argv in (BASE + ["--workloads", "lift_h97"], BASE + ["--workloads"],
+                 BASE[:5] + ["--pairs", "1"] + BASE[7:]):
+        with pytest.raises(SystemExit):
+            parse(argv, NAMES)

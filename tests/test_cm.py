@@ -440,3 +440,19 @@ def test_certificate_rejects_a_basis_cut_below_a_coefficient(gamma2, cert_cache)
     lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
     with pytest.raises(CertificateFailed):
         lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)
+
+
+@pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
+@pytest.mark.parametrize("D", [-59, -523, -2083])
+def test_crt_headroom_stays_above_epsilon(D, gamma2, cert_cache):
+    # 1/2 - max|x|/M: the rounding in crt_mod_n is exact only while it is
+    # at least epsilon (it reads about 1/2 - 1e-4 for j, 1/2 - 6e-3 for
+    # gamma2 at D = -59)
+    shards = _cert_shards(D, gamma2, cert_cache)
+    polys = [gamma2_poly(s) if gamma2 else s.poly for s in shards]
+    moduli = [s.p for s in shards]
+    top = max(
+        abs(crt_integer(moduli, [f.coeffs[i] for f in polys]))
+        for i in range(polys[0].degree)
+    )
+    assert 0.5 - top / math.prod(moduli) >= DEFAULT_EPSILON

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmcurve.arith import is_prime
 from cmcurve.crt import build_basis, crt_integer, crt_mod_n, round_quotient
 from cmcurve.errors import NotCoprime
 
@@ -173,19 +174,63 @@ def test_consistent_extra_modulus_changes_nothing():
     assert a == b == x % n
 
 
+def _random_primes(rng, count, lo, hi):
+    primes = set()
+    while len(primes) < count:
+        q = rng.randrange(lo, hi)
+        if is_prime(q):
+            primes.add(q)
+    return sorted(primes)
+
+
 def test_fixed_point_error_stays_inside_budget():
+    # round_quotient against the exact floor(z/M + 1/2) on vectors inside
+    # the precondition, over small bases and over ~21-bit moduli with ell
+    # in the hundreds, as in the degree-96 lift
     rng = random.Random(9)
-    for _ in range(50):
-        k = rng.randrange(1, 9)
-        moduli = rng.sample(SMALL_PRIMES, k)
-        basis = build_basis(moduli, 97)
-        residues = [rng.randrange(m) for m in moduli]
-        s = basis.scale_bits
-        approx = Fraction(
-            sum((a * x << s) // m for a, x, m in zip(basis.inverses, residues, moduli)),
-            1 << s,
+    eps = 0.001
+    bases = [rng.sample(SMALL_PRIMES, rng.randrange(1, 9)) for _ in range(30)]
+    bases += [_random_primes(rng, ell, 1 << 20, 1 << 21) for ell in (150, 410)]
+    for moduli in bases:
+        basis = build_basis(moduli, 97, eps)
+        ell, s, S = len(moduli), basis.scale_bits, basis.shift
+        # each reciprocal falls short by under one unit and every residue is
+        # below 2^(S - s), so the sum falls short by under ell/2^s <= eps/2^8
+        assert all(
+            c * m <= a << S < (c + 1) * m
+            for a, c, m in zip(basis.inverses, basis.reciprocals, moduli)
         )
-        exact = sum(
-            Fraction(a * x, m) for a, x, m in zip(basis.inverses, residues, moduli)
-        )
-        assert 0 <= exact - approx < Fraction(int(basis.epsilon * (1 << s)), 1 << s)
+        assert max(moduli) < 1 << (S - s)
+        assert Fraction(ell, 1 << s) <= Fraction(eps) / 256
+        M = math.prod(moduli)
+        cofactors = [M // m for m in moduli]
+        bound = (M * 499 - 1) // 1000  # the largest |x| below (1/2 - eps) M
+        xs = [bound, -bound] + [rng.randint(-bound, bound) for _ in range(20)]
+        for x in xs:
+            residues = [x % m for m in moduli]
+            z = sum(a * c * r for a, c, r in zip(basis.inverses, cofactors, residues))
+            exact = Fraction(z, M)
+            approx = Fraction(
+                sum(r * c for r, c in zip(residues, basis.reciprocals)), 1 << S
+            )
+            assert 0 <= exact - approx < Fraction(ell, 1 << s)
+            r = round_quotient(basis, residues)
+            assert r == math.floor(exact + Fraction(1, 2)) == (z - x) // M
+
+
+def test_crt_mod_n_rejects_unreduced_residues():
+    basis = build_basis([3, 5, 7], 11)
+    with pytest.raises(ValueError, match="residue 5 not reduced mod 5"):
+        crt_mod_n(basis, [2, 5, 1])
+    with pytest.raises(ValueError, match="residue -1 not reduced mod 5"):
+        crt_mod_n(basis, [2, -1, 1])
+    with pytest.raises(ValueError, match="length"):
+        crt_mod_n(basis, [2, 3])
+
+
+def test_bases_over_one_prime_set_share_the_memoised_half():
+    moduli = [101, 103, 107]
+    a, b = build_basis(moduli, 11), build_basis(tuple(moduli), 13)
+    assert a.inverses is b.inverses and a.reciprocals is b.reciprocals
+    assert (a.M_mod_n, b.M_mod_n) == (math.prod(moduli) % 11, math.prod(moduli) % 13)
+    assert b.M_i_mod_n == tuple(math.prod(moduli) // m % 13 for m in moduli)

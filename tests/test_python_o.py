@@ -29,6 +29,7 @@ GUARD_TESTS = [
     "tests/test_cm.py::test_certified_lift_equals_the_plain_lift",
     "tests/test_cm.py::test_certificate_rejects_a_residue_off_by_one",
     "tests/test_cm.py::test_certificate_rejects_a_basis_cut_below_a_coefficient",
+    "tests/test_crt.py::test_crt_mod_n_rejects_unreduced_residues",
 ]
 
 
@@ -41,4 +42,4 @@ def test_guard_tests_pass_under_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # parametrized cases: 4 forged shards, 4 pinned log B values, 5 oracle
     # discriminants, 10 certified lifts and 2 of each certificate mutant
-    assert re.search(r"^36 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    assert re.search(r"^37 passed\b", proc.stdout, re.MULTILINE), proc.stdout
