@@ -64,11 +64,23 @@ def is_prime(m: int) -> bool:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: one of -1, 0, +1."""
+    """Legendre symbol (a/p) for an odd prime p: one of -1, 0, +1.
+
+    The binary Jacobi-symbol algorithm, with no exponentiation: strip the
+    factors of 2 by (2/p) = -1 for p = 3, 5 (mod 8), swap the pair by
+    quadratic reciprocity and reduce, until a = 0.
+    """
     a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    s = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and p & 7 in (3, 5):
+            s = -s
+        if a & p & 2:  # a = p = 3 (mod 4)
+            s = -s
+        a, p = p % a, a
+    return s if p == 1 else 0
 
 
 @functools.lru_cache(maxsize=8)

@@ -80,7 +80,8 @@ def derive_cm_params(n: int, N: int) -> CmParams:
     if t == 0:
         raise ZeroTrace("N = n + 1 needs a supersingular curve, unsupported")
     disc = discriminant(t * t - 4 * n)
-    assert (6 * disc.d) % n != 0, "n ramifies; impossible for t != 0"
+    if (6 * disc.d) % n == 0:
+        raise InvariantViolation(f"n = {n} ramifies in d = {disc.d}; impossible for t != 0")
     return CmParams(n=n, N=N, t=t, disc=disc)
 
 

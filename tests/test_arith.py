@@ -85,6 +85,32 @@ def test_legendre_examples():
     assert legendre(4, 5) == 1
 
 
+def _euler(a, p):
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_legendre_matches_euler_at_every_prime_below_600():
+    # every residue class, reached from below 0 and above p as well
+    for p in filter(is_prime, range(3, 600)):
+        assert [legendre(a, p) for a in range(-p, 2 * p)] == [
+            _euler(a, p) for a in range(-p, 2 * p)
+        ], p
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_legendre_matches_euler_at_large_primes(bits):
+    rng = random.Random(bits)
+    primes = []
+    while len(primes) < 4:
+        m = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(m):
+            primes.append(m)
+    for p in primes:
+        for a in [0, p, 2, p - 1] + [rng.randrange(p) for _ in range(100)]:
+            assert legendre(a, p) == _euler(a, p), (p, a)
+
+
 def test_legendre_counts_split_evenly():
     p = 1009
     vals = [legendre(a, p) for a in range(1, p)]

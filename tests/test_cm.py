@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -34,6 +35,7 @@ from cmcurve.curves import (
 from cmcurve.errors import (
     Ambiguous,
     CertificateFailed,
+    InvariantViolation,
     NoRoot,
     NotFundamental,
     OutsideHasse,
@@ -72,6 +74,15 @@ def test_derive_cm_params_rejections():
         derive_cm_params(13, 12)  # t = 2, D = -48
     with pytest.raises(ValueError):
         derive_cm_params(15, 16)  # composite n
+
+
+def test_derive_cm_params_rejects_a_ramified_n(monkeypatch):
+    # no t != 0 gives a d that n divides; a stand-in discriminant must
+    # still be refused by an explicit check, which python -O keeps
+    n = 13
+    monkeypatch.setattr(cm, "discriminant", lambda D: discriminant(-4 * n))
+    with pytest.raises(InvariantViolation, match="ramifies"):
+        derive_cm_params(n, n + 1 - 3)
 
 
 def test_hilbert_mod_n_d59():
@@ -173,13 +184,20 @@ def test_construct_curve_medium_example():
     assert point_count_naive(result.curve) == n + 1 - t == 1016074
 
 
-def test_construct_curve_256_bit_scalar_mul():
-    # 4n = t^2 + 59 with n a 256-bit prime; N = n + 1 + t is the twist branch
-    t = 510423550381407695195061911147652317643
-    n = (t * t + 59) // 4
-    N = n + 1 + t
-    assert is_prime(n) and n.bit_length() == 256
-    E = construct_curve(n, N).curve
+# 4n = t^2 + 59 with n a 256-bit prime, n = 1 (mod 4); N = n + 1 + t is the
+# twist branch
+T256 = 510423550381407695195061911147652317643
+N256 = (T256 * T256 + 59) // 4
+
+
+@pytest.fixture(scope="module")
+def curve_256():
+    assert is_prime(N256) and N256.bit_length() == 256
+    return construct_curve(N256, N256 + 1 + T256).curve
+
+
+def test_construct_curve_256_bit_scalar_mul(curve_256):
+    E, n, N = curve_256, N256, N256 + 1 + T256
     rng = task_rng("scalar_mul", 256)
     P = random_point(E, rng)
     assert scalar_mul(E, P, N) is None
@@ -188,6 +206,20 @@ def test_construct_curve_256_bit_scalar_mul():
         a, b = rng.randrange(2 * n), rng.randrange(2 * n)
         left = scalar_mul(E, P, a + b)
         assert left == point_add(E, scalar_mul(E, P, a), scalar_mul(E, P, b))
+
+
+def test_random_point_draws_on_the_256_bit_curve_are_pinned(curve_256):
+    # recorded before random_point tested candidates by their Legendre
+    # symbol: the pre-test moves no x drawn and no y returned
+    rng = task_rng("random_point", 256)
+    draws = [random_point(curve_256, rng) for _ in range(16)]
+    assert draws[0] == (
+        51636904183996094962240287457840518979690900340389838193148087910033495818659,
+        20360678661102401033422432438068203366938510633338027207399007851624535798424,
+    )
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+    assert digest == "821fce2f5e49a70e1bbc394b77b9f316b67af44d94c5914debf26a88addc7b1f"
+    assert rng.getrandbits(64) == 2150160127839888364
 
 
 # d < 300 keeps each discriminant's scans under a few seconds

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.curves import (
     EXHAUSTIVE_COUNT_MAX,
+    NAF_MIN_BITS,
     CurveModP,
     OrderVerdict,
     PowInverse,
     _mul_raw,
+    _naf4,
     _x_mul,
     curve,
     curve_from_j,
@@ -240,25 +242,78 @@ def test_scalar_mul_distributes(a, b, seed):
     assert left == right
 
 
+def _small_order_curves(p):
+    """a4 = 0, a6 = 0 (with the 2-torsion point (0, 0)) and a generic curve,
+    then for each of 5 and 7 that divides none of their orders the first
+    y^2 = x^3 + x + a6 of an order it divides."""
+    curves = [curve(p, a4, a6) for a4, a6 in ((0, 5), (3, 0), (1, 1))]
+    for ell in (5, 7):
+        if all(point_count_naive(E) % ell for E in curves):
+            curves.append(next(
+                E for a6 in range(1, p)
+                if (4 + 27 * a6 * a6) % p and point_count_naive(E := curve(p, 1, a6)) % ell == 0
+            ))
+    return curves
+
+
+def _naf_chain_events(m, order):
+    """The special cases that [m]P in width-4 NAF meets, for P of the given
+    order > 1: those of the binary chains that build [3]P, [5]P and [7]P,
+    then those of the main loop, following the multiple k of the
+    accumulator."""
+    events = {"table: " + e for k in (3, 5, 7) for e in _chain_events(k, order)}
+    digits = _naf4(m)
+    k = digits[0]
+    if k % order == 0:
+        events.add("entry = O")
+    for d in digits[1:]:
+        if k % order and 2 * k % order == 0:
+            events.add("double Y = 0")
+        k *= 2
+        if d:
+            if d % order == 0:
+                events.add("entry = O")
+            elif k % order == 0:
+                events.add("accumulator = O")
+            elif (k - d) % order == 0:
+                events.add("accumulator = entry")
+            elif (k + d) % order == 0:
+                events.add("accumulator = -entry")
+            k += d
+    return events
+
+
 @pytest.mark.parametrize("p", [13, 17, 101, 211])
 def test_scalar_mul_matches_repeated_addition_on_every_point(p):
-    # a4 = 0, a6 = 0 (with the 2-torsion point (0, 0)) and a generic curve;
-    # m runs over [0, 2p + 6], past ord(P) <= p + 1 + 2 sqrt(p) for every P.
-    orders = set()
-    for a4, a6 in ((0, 5), (3, 0), (1, 1)):
-        E = curve(p, a4, a6)
+    # m runs over [0, 2p + 6], past ord(P) <= p + 1 + 2 sqrt(p) for every P;
+    # m = r + k ord(P) with k of 129 bits takes the width-4 NAF and must
+    # give [r]P
+    rng = random.Random(p)
+    orders, events = set(), set()
+    for E in _small_order_curves(p):
         points = [(x, y) for x in range(p) for y in range(p) if is_on_curve(E, (x, y))]
         for P in points:
-            Q, order = None, None
+            ref, Q = [], None
             for m in range(2 * p + 7):
-                assert scalar_mul(E, P, m) == Q, (a4, a6, P, m)
+                assert scalar_mul(E, P, m) == Q, (E, P, m)
+                ref.append(Q)
                 Q = point_add(E, Q, P)
-                if Q is None and order is None:
-                    order = m + 1
+            order = ref.index(None, 1)
             orders.add(order)
-    # orders 2 and 3 reach the kernel's doubling of a 2-torsion point and
-    # its mixed addition of the base to itself
-    assert {2, 3} <= orders
+            for r in (0, 1, order - 1, rng.randrange(order)):
+                m = r + ((1 << 128) | rng.getrandbits(128)) * order
+                assert m.bit_length() >= NAF_MIN_BITS
+                assert scalar_mul(E, P, m) == ref[r], (E, P, m)
+                events |= _naf_chain_events(m, order)
+    # bases of order 2, 3, 5 and 7 meet O and 2P = +-P while the table is
+    # built and O among its entries; the main loop meets an accumulator
+    # equal to an entry (H = 0, r = 0) and to its negative
+    assert {2, 3, 5, 7} <= orders
+    assert events == {
+        "table: double Y = 0", "table: accumulator = base", "table: accumulator = -base",
+        "double Y = 0", "entry = O", "accumulator = O",
+        "accumulator = entry", "accumulator = -entry",
+    }
 
 
 def _chain_events(m, order):

@@ -30,6 +30,8 @@ GUARD_TESTS = [
     "tests/test_cm.py::test_certificate_rejects_a_residue_off_by_one",
     "tests/test_cm.py::test_certificate_rejects_a_basis_cut_below_a_coefficient",
     "tests/test_crt.py::test_crt_mod_n_rejects_unreduced_residues",
+    "tests/test_cm.py::test_derive_cm_params_rejects_a_ramified_n",
+    "tests/test_curves.py::test_scalar_mul_matches_repeated_addition_on_every_point",
 ]
 
 
@@ -41,5 +43,6 @@ def test_guard_tests_pass_under_python_O():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # parametrized cases: 4 forged shards, 4 pinned log B values, 5 oracle
-    # discriminants, 10 certified lifts and 2 of each certificate mutant
-    assert re.search(r"^37 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # discriminants, 10 certified lifts, 2 of each certificate mutant and
+    # 4 primes of scalar multiplication on every point
+    assert re.search(r"^42 passed\b", proc.stdout, re.MULTILINE), proc.stdout
