@@ -2,7 +2,7 @@
 points, assembling the required class polynomial modulo n directly from its
 reductions at many small primes."""
 
-from .arith import is_prime, legendre, mod_inverse, sqrt_mod_p
+from .arith import is_prime, legendre, sqrt_mod_p
 from .classpoly import (
     PolyModM,
     Shard,

@@ -1,8 +1,8 @@
 """Integer and modular arithmetic primitives.
 
 Python's built-in int already provides arbitrary precision, so this module
-is mostly thin, deterministic wrappers: modular inverse, primality testing,
-Legendre symbol, modular square roots and a keyed RNG.
+is mostly thin, deterministic wrappers: primality testing, Legendre symbol,
+modular square roots and a keyed RNG.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .errors import NotASquare, NotInvertible
+from .errors import NotASquare
 
 # Deterministic Miller-Rabin witness set, sufficient for all m < 3.3 * 10^24
 # (in particular for everything below 2^64).
@@ -18,16 +18,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _PROBABLE_ROUNDS = 40  # error < 4^-40 = 2^-80 for m >= 2^64
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m, in [0, m). Raises NotInvertible if gcd != 1."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{a} is not invertible mod {m}") from None
 
 
 def _miller_rabin(m: int, base: int) -> bool:

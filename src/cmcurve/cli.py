@@ -14,41 +14,29 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import classpoly, cm, crt, curves, primegen, quadforms
-from .arith import task_rng
+from .arith import is_prime, task_rng
 from .errors import DomainError
 
 _ENV_CACHE = "CM_CACHE_DIR"
 
 
-@dataclass
-class Config:
-    epsilon: float = 0.001
-    jobs: int = 1
-    cache_dir: Path | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must be in (0, 1/2)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+def _cache_dir(args) -> Path | None:
+    """--cache, overridden by the CM_CACHE_DIR environment variable."""
+    cache = os.environ.get(_ENV_CACHE) or args.cache
+    return Path(cache) if cache else None
 
 
-def _config(args) -> Config:
-    cache = getattr(args, "cache", None)
-    env_cache = os.environ.get(_ENV_CACHE)
-    if env_cache:
-        cache = env_cache  # environment wins over the flag
-    return Config(
-        epsilon=getattr(args, "epsilon", 0.001),
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=Path(cache) if cache else None,
-        seed=getattr(args, "seed", 0),
-    )
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+
+
+def _check_prime(name: str, m: int) -> None:
+    if m <= 3 or not is_prime(m):
+        raise ValueError(f"{name} = {m} is not a prime greater than 3")
 
 
 def _emit(doc: dict, as_json: bool, out) -> None:
@@ -61,22 +49,18 @@ def _emit(doc: dict, as_json: bool, out) -> None:
             print(f"{key}: {val}", file=out)
 
 
-def _s(v) -> str:
-    return str(v)
-
-
 def _cmd_forms(args, out) -> int:
     disc, forms = quadforms.discriminant_and_forms(args.D)
     sum_inv_a = float(quadforms.sum_inverse_a(disc, forms))
     doc = {
-        "D": _s(disc.D),
-        "h": _s(disc.h),
-        "forms": [[_s(f.a), _s(f.b), _s(f.c)] for f in forms],
+        "D": str(disc.D),
+        "h": str(disc.h),
+        "forms": [[str(f.a), str(f.b), str(f.c)] for f in forms],
         "sum_inv_a": sum_inv_a,
         "log_B": disc.log_B,
     }
     if args.json:
-        print(json.dumps(doc, separators=(",", ":")), file=out)
+        _emit(doc, True, out)
     else:
         print(f"D: {disc.D}  h: {disc.h}  log B: {disc.log_B:.4f}", file=out)
         print(f"sum 1/a: {sum_inv_a:.6f}", file=out)
@@ -90,17 +74,17 @@ def _cmd_primes(args, out) -> int:
     ps = primegen.find_crt_primes(disc, epsilon=args.epsilon)
     stats = primegen.prime_stats(ps)
     doc = {
-        "D": _s(disc.D),
-        "count": _s(stats.count),
+        "D": str(disc.D),
+        "count": str(stats.count),
         "target_log": ps.target_log,
         "log_product": ps.log_product,
-        "max_p": _s(stats.max_p),
+        "max_p": str(stats.max_p),
         "count_times_logd_over_logB": stats.count_times_logd_over_logB,
         "max_p_over_logB_sq": stats.max_p_over_logB_sq,
-        "primes": [[_s(cp.p), _s(cp.t)] for cp in ps.primes],
+        "primes": [[str(cp.p), str(cp.t)] for cp in ps.primes],
     }
     if args.json:
-        print(json.dumps(doc, separators=(",", ":")), file=out)
+        _emit(doc, True, out)
     else:
         print(
             f"D: {disc.D}  primes: {stats.count}  target log: {ps.target_log:.3f}"
@@ -118,6 +102,7 @@ def _cmd_primes(args, out) -> int:
 
 
 def _find_crt_prime(disc, p: int) -> primegen.CrtPrime:
+    _check_prime("p", p)
     t2 = 4 * p - disc.d
     t = math.isqrt(t2) if t2 > 0 else -1
     if t <= 0 or t * t != t2:
@@ -126,11 +111,11 @@ def _find_crt_prime(disc, p: int) -> primegen.CrtPrime:
 
 
 def _cmd_hdmodp(args, out) -> int:
-    cfg = _config(args)
+    _check_jobs(args.jobs)
     disc = quadforms.discriminant(args.D)
     cp = _find_crt_prime(disc, args.p)
     [shard] = classpoly.build_shards(
-        disc, [cp], jobs=cfg.jobs, cache_dir=cfg.cache_dir
+        disc, [cp], jobs=args.jobs, cache_dir=_cache_dir(args)
     )
     if args.json:
         out.write(classpoly.shard_to_json(shard))
@@ -167,61 +152,63 @@ def _cmd_lift(args, out) -> int:
             for i in range(h)
         ]
         doc = {
-            "D": _s(shards[0].D),
-            "degree": _s(h),
-            "coeffs_signed": [_s(v) for v in ints] + ["1"],
+            "D": str(shards[0].D),
+            "degree": str(h),
+            "coeffs_signed": [str(v) for v in ints] + ["1"],
         }
     else:
         poly = cm.lift_shards(shards, args.n, args.epsilon)
         doc = {
-            "D": _s(shards[0].D),
-            "n": _s(args.n),
-            "degree": _s(h),
-            "coeffs": [_s(v) for v in poly.coeffs],
+            "D": str(shards[0].D),
+            "n": str(args.n),
+            "degree": str(h),
+            "coeffs": [str(v) for v in poly.coeffs],
         }
     _emit(doc, args.json, out)
     return 0
 
 
 def _cmd_count(args, out) -> int:
-    cfg = _config(args)
+    _check_prime("p", args.p)
     E = curves.curve_from_j(args.j, args.p)
     if args.method == "bsgs":
-        n_points = curves.point_count_bsgs(E, rng=task_rng(cfg.seed, "count", args.p))
+        n_points = curves.point_count_bsgs(E, rng=task_rng(args.seed, "count", args.p))
     else:
         n_points = curves.point_count_naive(E)
     doc = {
-        "p": _s(args.p),
-        "j": _s(E.j),
-        "a4": _s(E.a4),
-        "a6": _s(E.a6),
+        "p": str(args.p),
+        "j": str(E.j),
+        "a4": str(E.a4),
+        "a6": str(E.a6),
         "method": args.method,
-        "points": _s(n_points),
+        "points": str(n_points),
     }
     _emit(doc, args.json, out)
     return 0
 
 
 def _cmd_construct(args, out) -> int:
-    cfg = _config(args)
+    if not 0 < args.epsilon < 0.5:
+        raise ValueError("epsilon must be in (0, 1/2)")
+    _check_jobs(args.jobs)
     result = cm.construct_curve(
         args.n,
         args.N,
-        epsilon=cfg.epsilon,
-        jobs=cfg.jobs,
-        seed=cfg.seed,
-        cache_dir=cfg.cache_dir,
+        epsilon=args.epsilon,
+        jobs=args.jobs,
+        seed=args.seed,
+        cache_dir=_cache_dir(args),
     )
     doc = {
-        "n": _s(args.n),
-        "N": _s(args.N),
-        "t": _s(result.t),
-        "D": _s(result.D),
-        "h": _s(result.h),
-        "j": _s(result.j),
-        "a4": _s(result.curve.a4),
-        "a6": _s(result.curve.a6),
-        "primes_used": [_s(p) for p in result.primes_used],
+        "n": str(args.n),
+        "N": str(args.N),
+        "t": str(result.t),
+        "D": str(result.D),
+        "h": str(result.h),
+        "j": str(result.j),
+        "a4": str(result.curve.a4),
+        "a6": str(result.curve.a6),
+        "primes_used": [str(p) for p in result.primes_used],
     }
     if args.timings:
         doc["wall_times"] = {k: round(v, 6) for k, v in result.timings.items()}
@@ -230,14 +217,14 @@ def _cmd_construct(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    cfg = _config(args)
+    _check_prime("n", args.n)
     E = curves.curve(args.n, args.a4, args.a6)
-    ok = cm.verify_order(E, args.N, rng=task_rng(cfg.seed, "verify", args.n))
+    ok = cm.verify_order(E, args.N, rng=task_rng(args.seed, "verify", args.n))
     doc = {
-        "n": _s(args.n),
-        "N": _s(args.N),
-        "a4": _s(E.a4),
-        "a6": _s(E.a6),
+        "n": str(args.n),
+        "N": str(args.N),
+        "a4": str(E.a4),
+        "a6": str(E.a6),
         "verified": ok,
     }
     _emit(doc, args.json, out)
@@ -246,7 +233,7 @@ def _cmd_verify(args, out) -> int:
 
 def _add_common(sub, *, epsilon=False, jobs=False, seed=False, cache=False):
     if epsilon:
-        sub.add_argument("--epsilon", type=float, default=0.001)
+        sub.add_argument("--epsilon", type=float, default=primegen.DEFAULT_EPSILON)
     if jobs:
         sub.add_argument("--jobs", type=int, default=1)
     if seed:

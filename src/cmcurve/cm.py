@@ -46,6 +46,8 @@ from .poly import _ModF, _pdivmod, _pgcd, _ptrim, _split_roots
 from .primegen import DEFAULT_EPSILON, find_crt_primes, next_crt_prime
 from .quadforms import Discriminant, discriminant
 
+_VERIFY_SAMPLES = 16  # random points checked above NAIVE_COUNT_CAP
+
 
 @dataclass(frozen=True)
 class CmParams:
@@ -125,27 +127,38 @@ def _lift_polys(moduli, polys, n: int, epsilon: float) -> PolyModM:
     return PolyModM(modulus=n, coeffs=tuple(coeffs) + (1,))
 
 
-def hilbert_mod_n(
-    disc: Discriminant,
-    n: int,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    jobs: int = 1,
-    cache_dir=None,
-) -> PolyModM:
-    """The class polynomial for disc reduced mod n, degree h, monic.
+def hilbert_mod_n(disc: Discriminant, n: int) -> PolyModM:
+    """The class polynomial for disc reduced mod n, degree h, monic."""
+    return _class_poly_mod_n(disc, n, False, DEFAULT_EPSILON, 1, None, {})[0]
 
-    d = 3 and d = 4 short-circuit to X and X - 1728 (j = 0 and j = 1728).
-    Everything else goes through shards at split primes and the modular
-    CRT lift, one coefficient at a time.
+
+def _class_poly_mod_n(
+    disc: Discriminant, n: int, gamma2: bool, epsilon: float, jobs: int, cache_dir,
+    timings: dict,
+) -> tuple[PolyModM, tuple[int, ...]]:
+    """The class polynomial of j, or with gamma2 of gamma_2, mod n, and the
+    primes of its shards; timings gets the "primes" and "hilbert" stages.
+
+    d = 3 and d = 4 short-circuit to X and X - 1728 (j = 0 and j = 1728)
+    over no primes. Everything else goes through shards at split primes and
+    the modular CRT lift, one coefficient at a time.
     """
-    if disc.d == 3:
-        return PolyModM(modulus=n, coeffs=(0, 1))
-    if disc.d == 4:
-        return PolyModM(modulus=n, coeffs=((-1728) % n, 1))
-    prime_set = find_crt_primes(disc, epsilon=epsilon)
-    shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
-    return lift_shards(shards, n, epsilon)
+    t0 = time.perf_counter()
+    prime_set = None
+    if disc.d > 4:
+        prime_set = find_crt_primes(disc, epsilon=epsilon, gamma2=gamma2)
+    timings["primes"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    if prime_set is None:
+        poly = PolyModM(modulus=n, coeffs=(0 if disc.d == 3 else -1728 % n, 1))
+        primes = ()
+    else:
+        shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
+        poly = lift_shards(shards, n, epsilon, gamma2=gamma2)
+        primes = tuple(s.p for s in shards)
+    timings["hilbert"] = time.perf_counter() - t0
+    return poly, primes
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +215,7 @@ def find_root_mod_n(poly: PolyModM, n: int, seed=0, *, power: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_order(
-    E: CurveModP,
-    N: int,
-    *,
-    samples: int = 16,
-    rng: random.Random | None = None,
-) -> bool:
+def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None) -> bool:
     """Check #E(F_p) = N.
 
     For fields up to NAIVE_COUNT_CAP an exact count decides. Above it,
@@ -230,7 +237,7 @@ def verify_order(
         return True
     gap = abs(2 * p + 2 - 2 * N)  # |N' - N| = 2|t|
     other_ruled_out = gap == 0
-    for _ in range(samples):
+    for _ in range(_VERIFY_SAMPLES):
         P = random_point(E, rng)
         if scalar_mul(E, P, N) is not None:
             return False
@@ -278,9 +285,10 @@ def construct_curve(
     force_j picks another. For d > 4 with 3 not dividing d, the lift is
     that of G_D, the gamma_2 class polynomial, over the primes
     p = 2 (mod 3); its roots cube to the roots of H_D (G_D(X) divides
-    H_D(X^3)), so j is the smallest cube of a root. verify_order decides
-    the branch: the curve with that j if it verifies with N points, else
-    its quadratic twist, which must.
+    H_D(X^3)), so j is the smallest cube of a root. For d > 4 verify_order
+    decides the branch: the curve with that j if it verifies with N points,
+    else its quadratic twist, which must. For d <= 4 (j = 0 or 1728) the
+    twist classes are scanned by _special_j_curve.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -288,29 +296,10 @@ def construct_curve(
     disc = params.disc
     timings["derive"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    prime_set, gamma2 = None, disc.d % 3 != 0
-    if disc.d > 4:
-        prime_set = find_crt_primes(disc, epsilon=epsilon, gamma2=gamma2)
-    timings["primes"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if disc.d <= 4:
-        j = 0 if disc.d == 3 else 1728 % n
-        if force_j is not None and force_j % n != j:
-            raise ValueError("force_j is not a root of the class polynomial")
-        timings["hilbert"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        E = _special_j_curve(n, N, j, seed)
-        timings["construct"] = time.perf_counter() - t0
-        return CurveResult(
-            curve=E, j=j, order=N, t=params.t, D=disc.D, h=disc.h,
-            primes_used=(), timings=timings,
-        )
-
-    shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
-    poly = lift_shards(shards, n, epsilon, gamma2=gamma2)
-    timings["hilbert"] = time.perf_counter() - t0
+    gamma2 = disc.d > 4 and disc.d % 3 != 0
+    poly, primes_used = _class_poly_mod_n(
+        disc, n, gamma2, epsilon, jobs, cache_dir, timings
+    )
 
     t0 = time.perf_counter()
     power = 3 if gamma2 else 1
@@ -324,13 +313,16 @@ def construct_curve(
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # A root's curve has n + 1 - t or n + 1 + t points; verify_order accepts
-    # only the one with N, so the first failure selects the twist.
-    E = curve_from_j(j, n)
-    if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
-        E = quadratic_twist(E, smallest_nonresidue(n))
+    if disc.d <= 4:
+        E = _special_j_curve(n, N, j, seed)
+    else:
+        # A root's curve has n + 1 - t or n + 1 + t points; verify_order
+        # accepts only the one with N, so the first failure selects the twist.
+        E = curve_from_j(j, n)
         if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
-            raise Ambiguous("neither the root's curve nor its twist has N points")
+            E = quadratic_twist(E, smallest_nonresidue(n))
+            if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
+                raise Ambiguous("neither the root's curve nor its twist has N points")
     timings["construct"] = time.perf_counter() - t0
 
     return CurveResult(
@@ -340,6 +332,6 @@ def construct_curve(
         t=params.t,
         D=disc.D,
         h=disc.h,
-        primes_used=tuple(s.p for s in shards),
+        primes_used=primes_used,
         timings=timings,
     )

@@ -22,8 +22,8 @@ from itertools import accumulate
 from operator import lt, mul
 from typing import Sequence
 
-from .arith import mod_inverse
 from .errors import NotCoprime, PrecisionBudgetExceeded
+from .primegen import DEFAULT_EPSILON
 
 _GUARD_BITS = 8
 # prime sets whose n-independent half is kept: a warm construct over a few
@@ -35,38 +35,24 @@ _PRIME_SET_CACHE_MAX = 4
 class CrtBasis:
     """Precomputed data shared by every coefficient lift.
 
-    inverses[i] is a_i = (M/m_i)^(-1) mod m_i and reciprocals[i] is
-    floor(a_i 2^shift / m_i), shift = scale_bits + bitlen(max m_i), shared
-    by every basis over the same moduli and epsilon. M mod n and
-    M_i_mod_n[i] = (M/m_i) mod n come from prefix and suffix products mod
-    n, so no modulus needs to be invertible mod n; weights[i] is
-    a_i (M/m_i) mod n.
+    With a_i = (M/m_i)^(-1) mod m_i, reciprocals[i] is floor(a_i 2^shift /
+    m_i), shift = s + bitlen(max m_i) for s fractional bits of precision,
+    shared by every basis over the same moduli and epsilon. M mod n and
+    each (M/m_i) mod n come from prefix and suffix products mod n, so no
+    modulus needs to be invertible mod n; weights[i] is a_i (M/m_i) mod n.
     """
 
     moduli: tuple[int, ...]
-    inverses: tuple[int, ...]
     n: int
-    epsilon: float
     M_mod_n: int
-    M_i_mod_n: tuple[int, ...]
-    scale_bits: int
     shift: int
     reciprocals: tuple[int, ...]
     weights: tuple[int, ...]
 
 
-def _check_residues(basis: CrtBasis, residues: Sequence[int]) -> None:
-    if len(residues) != len(basis.moduli):
-        raise ValueError("residue vector length does not match the basis")
-    if min(residues) < 0 or not all(map(lt, residues, basis.moduli)):
-        for x, m in zip(residues, basis.moduli):
-            if not 0 <= x < m:
-                raise ValueError(f"residue {x} not reduced mod {m}")
-
-
 @lru_cache(maxsize=_PRIME_SET_CACHE_MAX)
 def _prime_set(moduli: tuple[int, ...], epsilon: float):
-    """(inverses, scale_bits, shift, reciprocals) for the moduli.
+    """(inverses, shift, reciprocals) for the moduli.
 
     M/m_i is invertible mod m_i exactly when m_i is coprime to every other
     modulus, so the inverses check coprimality; only when one is missing
@@ -94,31 +80,30 @@ def _prime_set(moduli: tuple[int, ...], epsilon: float):
         )
     shift = s + max(moduli).bit_length()
     reciprocals = tuple((a << shift) // m for a, m in zip(inverses, moduli))
-    return tuple(inverses), s, shift, reciprocals
+    return tuple(inverses), shift, reciprocals
 
 
-def build_basis(moduli: Sequence[int], n: int, epsilon: float = 0.001) -> CrtBasis:
+def build_basis(
+    moduli: Sequence[int], n: int, epsilon: float = DEFAULT_EPSILON
+) -> CrtBasis:
     """The basis for the given pairwise coprime moduli and target n; the
     n-independent half is memoised per (moduli, epsilon)."""
     moduli = tuple(moduli)
-    inverses, scale_bits, shift, reciprocals = _prime_set(moduli, epsilon)
+    inverses, shift, reciprocals = _prime_set(moduli, epsilon)
     if n < 2:
         raise ValueError("target modulus must be >= 2")
     step = lambda acc, m: acc * m % n
     prefix = list(accumulate(moduli, step, initial=1))
     suffix = list(accumulate(reversed(moduli), step, initial=1))
-    M_i_mod_n = tuple(a * b % n for a, b in zip(prefix, suffix[-2::-1]))
+    # prefix[i] suffix[ell - 1 - i] = M/m_i mod n
+    weights = zip(inverses, prefix, suffix[-2::-1])
     return CrtBasis(
         moduli=moduli,
-        inverses=inverses,
         n=n,
-        epsilon=epsilon,
         M_mod_n=prefix[-1],
-        M_i_mod_n=M_i_mod_n,
-        scale_bits=scale_bits,
         shift=shift,
         reciprocals=reciprocals,
-        weights=tuple(a * v % n for a, v in zip(inverses, M_i_mod_n)),
+        weights=tuple(a * b * c % n for a, b, c in weights),
     )
 
 
@@ -136,13 +121,18 @@ def round_quotient(basis: CrtBasis, residues: Sequence[int]) -> int:
 
     z/M = sum a_i x_i / m_i is summed as sum x_i c_i over the reciprocals
     c_i = floor(a_i 2^S / m_i). Each c_i falls short by under one unit and
-    x_i < 2^(S - scale_bits), so the total falls short of 2^S z/M by less
-    than ell 2^S / 2^scale_bits, i.e. z/M by less than epsilon/2^8. Since
-    z/M + 1/2 is at least epsilon away from any integer whenever the
-    reconstruction precondition |x| < (1/2 - epsilon) M holds, the
-    rounding is exact.
+    x_i < 2^(S - s), s the fractional bits of _prime_set, so the total
+    falls short of 2^S z/M by less than ell 2^S / 2^s, i.e. z/M by less
+    than epsilon/2^8. Since z/M + 1/2 is at least epsilon away from any
+    integer whenever the reconstruction precondition |x| < (1/2 - epsilon) M
+    holds, the rounding is exact.
     """
-    _check_residues(basis, residues)
+    if len(residues) != len(basis.moduli):
+        raise ValueError("residue vector length does not match the basis")
+    if min(residues) < 0 or not all(map(lt, residues, basis.moduli)):
+        for x, m in zip(residues, basis.moduli):
+            if not 0 <= x < m:
+                raise ValueError(f"residue {x} not reduced mod {m}")
     S = basis.shift
     return (sum(map(mul, residues, basis.reciprocals)) + (1 << (S - 1))) >> S
 
@@ -154,10 +144,9 @@ def crt_mod_n(basis: CrtBasis, residues: Sequence[int]) -> int:
     return (sum(map(mul, residues, basis.weights)) - r * basis.M_mod_n) % basis.n
 
 
-def crt_integer(moduli, residues: Sequence[int]) -> int:
+def crt_integer(moduli: Sequence[int], residues: Sequence[int]) -> int:
     """Classic CRT oracle: the signed integer in (-M/2, M/2] matching the
     residues. Materialises the integer, unlike the modular route."""
-    moduli = tuple(getattr(moduli, "moduli", moduli))
     if len(residues) != len(moduli):
         raise ValueError("residue vector length does not match the moduli")
     _check_coprime(moduli)
@@ -167,6 +156,6 @@ def crt_integer(moduli, residues: Sequence[int]) -> int:
         if not 0 <= x < m:
             raise ValueError(f"residue {x} not reduced mod {m}")
         Mi = M // m
-        z += mod_inverse(Mi % m, m) * x * Mi
+        z += pow(Mi % m, -1, m) * x * Mi
     z %= M
     return z - M if 2 * z > M else z

@@ -36,6 +36,7 @@ NAIVE_COUNT_CAP = 1 << 26
 # Exact counts sum the quadratic character up to this field size and use
 # baby-step giant-step above it, where BSGS is already the faster of the two.
 EXHAUSTIVE_COUNT_MAX = 1 << 10
+_BSGS_MAX_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -368,14 +369,14 @@ def hasse_interval(p: int) -> tuple[int, int]:
     return p + 1 - fl, p + 1 + fl
 
 
-def point_count_naive(E: CurveModP, cap: int = NAIVE_COUNT_CAP) -> int:
+def point_count_naive(E: CurveModP) -> int:
     """#E(F_p) = p + 1 + sum over x of chi(x^3 + a4 x + a6).
 
-    Exhaustive in x; refuses fields above `cap`.
+    Exhaustive in x; refuses fields above NAIVE_COUNT_CAP.
     """
     p, a4, a6 = E.p, E.a4, E.a6
-    if p > cap:
-        raise TooLarge(f"p = {p} exceeds the exhaustive-count cap {cap}")
+    if p > NAIVE_COUNT_CAP:
+        raise TooLarge(f"p = {p} exceeds the exhaustive-count cap {NAIVE_COUNT_CAP}")
     tbl = residue_table(p)
     acc = 0
     for x in range(p):
@@ -420,9 +421,7 @@ def _annihilators_in_window(
     return sorted(out)
 
 
-def point_count_bsgs(
-    E: CurveModP, *, rng: random.Random | None = None, max_points: int = 32
-) -> int:
+def point_count_bsgs(E: CurveModP, *, rng: random.Random | None = None) -> int:
     """#E(F_p) by order-finding on random points.
 
     Candidate orders inside the Hasse interval are intersected across random
@@ -436,7 +435,7 @@ def point_count_bsgs(
     width = hi - lo + 1
     twist = quadratic_twist(E, smallest_nonresidue(p))
     candidates: list[int] | None = None
-    for trial in range(max_points):
+    for trial in range(_BSGS_MAX_POINTS):
         on_twist = trial & 1 == 1
         C = twist if on_twist else E
         P = random_point(C, rng)
@@ -457,7 +456,7 @@ def point_count_bsgs(
         if len(candidates) == 1:
             return candidates[0]
     raise Ambiguous(
-        f"{len(candidates)} candidate orders remain after {max_points} points"
+        f"{len(candidates)} candidate orders remain after {_BSGS_MAX_POINTS} points"
     )
 
 

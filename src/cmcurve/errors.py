@@ -9,10 +9,6 @@ class DomainError(Exception):
     """Base class for all expected failure modes."""
 
 
-class NotInvertible(DomainError):
-    """gcd(a, m) != 1, so a has no inverse modulo m."""
-
-
 class NotASquare(DomainError):
     """Requested a modular square root of a non-residue."""
 

@@ -65,7 +65,7 @@ def default_target_log(
     return log_b - math.log(0.5 - epsilon)
 
 
-def _default_t_cap(target_log: float) -> int:
+def _trace_cap(target_log: float) -> int:
     return 10 ** 6 * max(1, math.ceil(math.log(max(target_log, math.e))))
 
 
@@ -88,7 +88,6 @@ def find_crt_primes(
     target_log: float | None = None,
     *,
     epsilon: float = DEFAULT_EPSILON,
-    t_cap: int | None = None,
     gamma2: bool = False,
 ) -> PrimeSet:
     """Smallest-first primes of the form (t^2 + d)/4 whose product exceeds
@@ -117,12 +116,10 @@ def find_crt_primes(
         target_log = default_target_log(disc, epsilon, gamma2=gamma2)
     if target_log < 0:
         raise ValueError("target_log must be nonnegative")
-    cap = t_cap if t_cap is not None else _default_t_cap(target_log)
-
     primes: list[CrtPrime] = []
     log_product = 0.0
     # 4 | t^2 + d forces t odd iff d is odd
-    found = _split_primes(d, 1 if d % 2 else 2, gamma2, cap)
+    found = _split_primes(d, 1 if d % 2 else 2, gamma2, _trace_cap(target_log))
     while not primes or log_product < target_log + _LOG_GUARD:
         cp = next(found)
         primes.append(cp)

@@ -292,6 +292,7 @@ def test_criterion_09e_byte_identical_reruns(tmp_path):
 
 def test_criterion_10_long_run_is_opt_in():
     pytest.skip(
-        "full 410-shard lift for D = -832603 runs for hours; enable it with "
+        "full 410-shard lift for D = -832603 takes about 11 minutes at "
+        "CMCURVE_JOBS=2; enable it with "
         "CMCURVE_RUN_LONG=1 pytest tests/test_longrun.py"
     )

@@ -8,39 +8,11 @@ from hypothesis import strategies as st
 from cmcurve.arith import (
     is_prime,
     legendre,
-    mod_inverse,
     smallest_nonresidue,
     sqrt_mod_p,
     task_rng,
 )
-from cmcurve.errors import NotASquare, NotInvertible
-
-
-def test_mod_inverse_identity():
-    assert mod_inverse(1, 17) == 1
-
-
-def test_mod_inverse_exhaustive_oracle():
-    # the only residue r with 9*r = 1 mod 17, found by scanning
-    expected = [r for r in range(17) if 9 * r % 17 == 1]
-    assert expected == [2]
-    assert mod_inverse(9, 17) == 2
-
-
-def test_mod_inverse_not_invertible():
-    with pytest.raises(NotInvertible):
-        mod_inverse(2, 4)
-
-
-@given(st.integers(2, 10**9), st.integers(1, 10**9))
-def test_mod_inverse_property(m, a):
-    if math.gcd(a, m) != 1:
-        with pytest.raises(NotInvertible):
-            mod_inverse(a, m)
-    else:
-        inv = mod_inverse(a, m)
-        assert 0 <= inv < m
-        assert inv * a % m == 1
+from cmcurve.errors import NotASquare
 
 
 def test_is_prime_known_values():

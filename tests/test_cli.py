@@ -167,3 +167,33 @@ def test_subprocess_invocation_byte_identical(tmp_path):
     second = subprocess.run(cmd, capture_output=True, env=env, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"{")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["count", "-p", "15", "-j", "2", "--json"], "p = 15"),
+        (["verify", "-n", "21", "-N", "20", "--a4", "1", "--a6", "1"], "n = 21"),
+        (["hdmodp", "-D", "-59", "-p", "15"], "p = 15"),  # 4*15 - 59 = 1^2
+        (["hdmodp", "-D", "-11", "-p", "3"], "p = 3"),  # 4*3 - 11 = 1^2
+    ],
+    ids=["count", "verify", "hdmodp", "hdmodp-3"],
+)
+def test_modulus_must_be_a_prime_above_3(argv, name, capsys):
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert f"ValueError: {name} is not a prime greater than 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "-n", "7", "-N", "3", "--epsilon", "0.5"], "epsilon must be in (0, 1/2)"),
+        (["construct", "-n", "7", "-N", "3", "--jobs", "0"], "jobs must be >= 1"),
+        (["hdmodp", "-D", "-59", "-p", "17", "--jobs", "0"], "jobs must be >= 1"),
+    ],
+)
+def test_epsilon_and_jobs_are_checked(argv, message, capsys):
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert f"ValueError: {message}" in capsys.readouterr().err

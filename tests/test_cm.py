@@ -174,6 +174,22 @@ def test_construct_curve_special_j1728():
     assert point_count_naive(result.curve) == 2
 
 
+@pytest.mark.parametrize("n, N, j", [(7, 3, 0), (5, 2, 1728)], ids=["d3", "d4"])
+def test_construct_curve_special_j_force_j(n, N, j):
+    plain = construct_curve(n, N).curve
+    forced = construct_curve(n, N, force_j=j)
+    assert (forced.curve.a4, forced.curve.a6) == (plain.a4, plain.a6)
+    assert forced.j == j % n
+    with pytest.raises(ValueError):
+        construct_curve(n, N, force_j=1)
+
+
+@pytest.mark.parametrize("n, N", [(141767, 142521), (7, 3)], ids=["D59", "D3"])
+def test_construct_curve_timings_keys(n, N):
+    stages = {"derive", "primes", "hilbert", "root", "construct"}
+    assert set(construct_curve(n, N).timings) == stages
+
+
 def test_construct_curve_medium_example():
     # a different discriminant with an even trace: 4n = 2018^2 + 40, so
     # D = -40 (h = 2) over a megaprime field

@@ -33,17 +33,28 @@ def naive_signed_crt(moduli, residues):
     raise AssertionError("no representative found")
 
 
+def crt_inverses(moduli):
+    """a_i = (M/m_i)^(-1) mod m_i, straight from the definition."""
+    M = math.prod(moduli)
+    return [pow(M // m, -1, m) for m in moduli]
+
+
+def crt_weights(moduli, n):
+    """a_i (M/m_i) mod n, straight from the definition."""
+    M = math.prod(moduli)
+    return tuple(a * (M // m) % n for a, m in zip(crt_inverses(moduli), moduli))
+
+
 def test_build_basis_example():
     basis = build_basis([3, 5], 11)
-    assert basis.inverses == (2, 2)
+    assert crt_inverses([3, 5]) == [2, 2]
     assert basis.M_mod_n == 15 % 11
-    assert basis.M_i_mod_n == (5, 3)
+    assert basis.weights == (2 * 5 % 11, 2 * 3 % 11) == crt_weights([3, 5], 11)
 
 
 def test_build_basis_single_modulus():
     basis = build_basis([7], 11)
-    assert basis.inverses == (1,)
-    assert basis.M_i_mod_n == (1,)
+    assert basis.weights == (1,)
 
 
 def test_build_basis_rejects_shared_factor():
@@ -54,7 +65,8 @@ def test_build_basis_rejects_shared_factor():
 def test_build_basis_fallback_when_modulus_hits_n():
     # 11 has no inverse mod n = 11; prefix/suffix products need none
     basis = build_basis([3, 5, 11], 11)
-    assert basis.M_i_mod_n == (5 * 11 % 11, 3 * 11 % 11, 15 % 11)
+    # (M/m_i) mod 11 = (0, 0, 4) and a_3 = 4^(-1) mod 11 = 3
+    assert basis.weights == (0, 0, 1) == crt_weights([3, 5, 11], 11)
 
 
 def test_round_quotient_small_case():
@@ -95,7 +107,7 @@ def test_d59_lift_round_quotient_consistent_with_integer():
         r = round_quotient(basis, res)
         z = sum(
             a * (M // m) * xi
-            for a, m, xi in zip(basis.inverses, D59_MODULI, res)
+            for a, m, xi in zip(crt_inverses(D59_MODULI), D59_MODULI, res)
         )
         assert z - r * M == x
 
@@ -122,11 +134,6 @@ def test_crt_integer_examples():
     assert crt_integer([2], [1]) == 1  # M/2 representative kept positive
     with pytest.raises(NotCoprime):
         crt_integer([4, 6], [1, 1])
-
-
-def test_crt_integer_accepts_basis():
-    basis = build_basis([3, 5], 11)
-    assert crt_integer(basis, [2, 3]) == -7
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
@@ -193,12 +200,15 @@ def test_fixed_point_error_stays_inside_budget():
     bases += [_random_primes(rng, ell, 1 << 20, 1 << 21) for ell in (150, 410)]
     for moduli in bases:
         basis = build_basis(moduli, 97, eps)
-        ell, s, S = len(moduli), basis.scale_bits, basis.shift
+        inverses = crt_inverses(moduli)
+        ell, S = len(moduli), basis.shift
+        s = max(0, math.ceil(math.log2(ell / eps))) + 8  # fractional bits
+        assert S == s + max(moduli).bit_length()
         # each reciprocal falls short by under one unit and every residue is
         # below 2^(S - s), so the sum falls short by under ell/2^s <= eps/2^8
         assert all(
             c * m <= a << S < (c + 1) * m
-            for a, c, m in zip(basis.inverses, basis.reciprocals, moduli)
+            for a, c, m in zip(inverses, basis.reciprocals, moduli)
         )
         assert max(moduli) < 1 << (S - s)
         assert Fraction(ell, 1 << s) <= Fraction(eps) / 256
@@ -208,7 +218,7 @@ def test_fixed_point_error_stays_inside_budget():
         xs = [bound, -bound] + [rng.randint(-bound, bound) for _ in range(20)]
         for x in xs:
             residues = [x % m for m in moduli]
-            z = sum(a * c * r for a, c, r in zip(basis.inverses, cofactors, residues))
+            z = sum(a * c * r for a, c, r in zip(inverses, cofactors, residues))
             exact = Fraction(z, M)
             approx = Fraction(
                 sum(r * c for r, c in zip(residues, basis.reciprocals)), 1 << S
@@ -231,6 +241,6 @@ def test_crt_mod_n_rejects_unreduced_residues():
 def test_bases_over_one_prime_set_share_the_memoised_half():
     moduli = [101, 103, 107]
     a, b = build_basis(moduli, 11), build_basis(tuple(moduli), 13)
-    assert a.inverses is b.inverses and a.reciprocals is b.reciprocals
+    assert a.reciprocals is b.reciprocals
     assert (a.M_mod_n, b.M_mod_n) == (math.prod(moduli) % 11, math.prod(moduli) % 13)
-    assert b.M_i_mod_n == tuple(math.prod(moduli) // m % 13 for m in moduli)
+    assert (a.weights, b.weights) == (crt_weights(moduli, 11), crt_weights(moduli, 13))

@@ -116,8 +116,9 @@ def test_point_count_golden_curve():
 
 
 def test_point_count_respects_cap():
+    # the smallest prime above NAIVE_COUNT_CAP = 2^26
     with pytest.raises(TooLarge):
-        point_count_naive(curve_from_j(2, 141767), cap=10 ** 5)
+        point_count_naive(curve_from_j(2, 67108879))
 
 
 def test_hasse_bound_on_counted_curves():

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cmcurve.arith import is_prime
+from cmcurve import primegen
 from cmcurve.errors import NoPrimesPossible, SearchLimitExceeded
 from cmcurve.primegen import (
     CrtPrime,
@@ -65,9 +66,10 @@ def test_determinism():
     assert find_crt_primes(disc) == find_crt_primes(disc)
 
 
-def test_search_limit():
+def test_search_limit(monkeypatch):
+    monkeypatch.setattr(primegen, "_trace_cap", lambda target_log: 5)
     with pytest.raises(SearchLimitExceeded):
-        find_crt_primes(discriminant(-59), target_log=100.0, t_cap=5)
+        find_crt_primes(discriminant(-59), target_log=100.0)
 
 
 def test_default_target_matches_threshold_formula():

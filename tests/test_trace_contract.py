@@ -1,6 +1,8 @@
 """The benchmark's tracer rebinds names on `cm` and `classpoly` from
 outside (perfbench/spans.py). A refactor that renames or stops importing
-one of them would make `--trace 1` fail, so every rebound name must exist."""
+one of them would make `--trace 1` fail, so every rebound name must exist;
+one that calls a layer other than through those names would leave its
+spans and counters empty, so a traced cold construction must reach them."""
 
 import importlib.util
 from pathlib import Path
@@ -26,3 +28,18 @@ def test_every_traced_name_exists_on_cm_and_classpoly():
         if not callable(getattr(mod, attr, None))
     ]
     assert missing == []
+
+
+def test_a_traced_cold_construct_reaches_every_counted_layer(tmp_path):
+    # the names must also be the ones the pipeline calls through: a call
+    # that bypasses a rebound global would leave its counter at zero
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with spans.rebound(tracer, cm, classpoly):
+        cm.construct_curve(141767, 142521, cache_dir=tmp_path)
+    for key in ("scanned_p", "probe_survivors", "exact_counts"):
+        assert tracer.counts[f"classpoly.{key}"] > 0, key
+    names = {span[3] for span in tracer.spans}
+    for name in ("crt.build_basis", "crt.crt_mod_n", "cm.find_root_mod_n",
+                 "cm.verify_order"):
+        assert name in names
