@@ -29,7 +29,6 @@ from .cm import (
 from .crt import CrtBasis, build_basis, crt_integer, crt_mod_n, round_quotient
 from .curves import (
     CurveModP,
-    OrderVerdict,
     Point,
     curve,
     curve_from_j,

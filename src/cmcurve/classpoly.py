@@ -48,7 +48,6 @@ from .curves import (
     _TABLE_CACHE_MAX,
     EXHAUSTIVE_COUNT_MAX,
     CurveModP,
-    OrderVerdict,
     PowInverse,
     _x_mul,
     inverse_table,
@@ -198,7 +197,7 @@ def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
             continue
         E = CurveModP(p, *model, j)
         rng = task_rng(_SCAN_SEED, "flt", p, j)
-        if order_filter(E, t, rng=rng) is OrderVerdict.NEITHER:
+        if not order_filter(E, t, rng=rng):
             continue
         if p <= EXHAUSTIVE_COUNT_MAX:
             n = point_count_naive(E)
@@ -207,6 +206,12 @@ def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
         if n in (p + 1 - t, p + 1 + t):
             out.append(j)
     return out
+
+
+def check_jobs(jobs: int) -> None:
+    """The j-scan pool needs at least one worker."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
 
 def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> list[int]:
@@ -220,12 +225,13 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> lis
     (4p bytes), about 5p bytes per process; a pool's workers inherit them
     from this process.
     """
+    check_jobs(jobs)
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:
         raise ValueError(f"prime {p} with trace {t} does not match d = {disc.d}")
     if disc.d <= 4:
         raise ValueError("d <= 4 is handled by the special curve models")
-    if jobs <= 1 or p < 1 << 16:
+    if jobs == 1 or p < 1 << 16:
         found = _scan_range(p, t, 0, p)
     else:
         # built here, so that every forked worker inherits them
@@ -277,9 +283,9 @@ def gamma2_poly(shard: Shard) -> PolyModM:
 # ---------------------------------------------------------------------------
 
 
-def shard_to_json(shard: Shard) -> str:
-    """Canonical one-line JSON with every integer as a decimal string."""
-    doc = {
+def shard_doc(shard: Shard) -> dict:
+    """The shard as a document with every integer as a decimal string."""
+    return {
         "D": str(shard.D),
         "p": str(shard.p),
         "t": str(shard.t),
@@ -287,7 +293,11 @@ def shard_to_json(shard: Shard) -> str:
         "j_set": [str(j) for j in shard.j_set],
         "coeffs": [str(c) for c in shard.poly.coeffs],
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def shard_to_json(shard: Shard) -> str:
+    """Canonical one-line JSON of shard_doc."""
+    return json.dumps(shard_doc(shard), separators=(",", ":")) + "\n"
 
 
 def shard_from_json(text: str) -> Shard:
@@ -361,6 +371,7 @@ def build_shards(
     are loaded and every new shard is saved as soon as it is built, so an
     interrupted run resumes where it stopped.
     """
+    check_jobs(jobs)
     shards = []
     for cp in sorted(crt_primes, key=lambda c: c.p):
         path = None if cache_dir is None else shard_path(cache_dir, disc.D, cp.p)

@@ -29,43 +29,33 @@ def _cache_dir(args) -> Path | None:
     return Path(cache) if cache else None
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-
-
 def _check_prime(name: str, m: int) -> None:
     if m <= 3 or not is_prime(m):
         raise ValueError(f"{name} = {m} is not a prime greater than 3")
 
 
 def _emit(doc: dict, as_json: bool, out) -> None:
+    """doc as one line of JSON, or as "key: value" lines; a list prints
+    space-separated and each list nested in it comma-joined."""
     if as_json:
         print(json.dumps(doc, separators=(",", ":")), file=out)
-    else:
-        for key, val in doc.items():
-            if isinstance(val, list):
-                val = " ".join(str(v) for v in val)
-            print(f"{key}: {val}", file=out)
+        return
+    for key, val in doc.items():
+        if isinstance(val, list):
+            val = " ".join(",".join(v) if isinstance(v, list) else str(v) for v in val)
+        print(f"{key}: {val}", file=out)
 
 
 def _cmd_forms(args, out) -> int:
     disc, forms = quadforms.discriminant_and_forms(args.D)
-    sum_inv_a = float(quadforms.sum_inverse_a(disc, forms))
     doc = {
         "D": str(disc.D),
         "h": str(disc.h),
         "forms": [[str(f.a), str(f.b), str(f.c)] for f in forms],
-        "sum_inv_a": sum_inv_a,
+        "sum_inv_a": float(quadforms.sum_inverse_a(disc, forms)),
         "log_B": disc.log_B,
     }
-    if args.json:
-        _emit(doc, True, out)
-    else:
-        print(f"D: {disc.D}  h: {disc.h}  log B: {disc.log_B:.4f}", file=out)
-        print(f"sum 1/a: {sum_inv_a:.6f}", file=out)
-        for f in forms:
-            print(f"  ({f.a}, {f.b}, {f.c})", file=out)
+    _emit(doc, args.json, out)
     return 0
 
 
@@ -83,21 +73,7 @@ def _cmd_primes(args, out) -> int:
         "max_p_over_logB_sq": stats.max_p_over_logB_sq,
         "primes": [[str(cp.p), str(cp.t)] for cp in ps.primes],
     }
-    if args.json:
-        _emit(doc, True, out)
-    else:
-        print(
-            f"D: {disc.D}  primes: {stats.count}  target log: {ps.target_log:.3f}"
-            f"  log product: {ps.log_product:.3f}",
-            file=out,
-        )
-        print(
-            f"ratios: |S| log d / log B = {stats.count_times_logd_over_logB:.3f},"
-            f" max p / (log B)^2 = {stats.max_p_over_logB_sq:.3f}",
-            file=out,
-        )
-        for cp in ps.primes:
-            print(f"  p = {cp.p}  t = {cp.t}", file=out)
+    _emit(doc, args.json, out)
     return 0
 
 
@@ -111,18 +87,12 @@ def _find_crt_prime(disc, p: int) -> primegen.CrtPrime:
 
 
 def _cmd_hdmodp(args, out) -> int:
-    _check_jobs(args.jobs)
     disc = quadforms.discriminant(args.D)
     cp = _find_crt_prime(disc, args.p)
     [shard] = classpoly.build_shards(
         disc, [cp], jobs=args.jobs, cache_dir=_cache_dir(args)
     )
-    if args.json:
-        out.write(classpoly.shard_to_json(shard))
-    else:
-        print(f"D: {shard.D}  p: {shard.p}  t: {shard.t}  h: {shard.h}", file=out)
-        print(f"j: {' '.join(str(j) for j in shard.j_set)}", file=out)
-        print(f"coeffs (low to high): {' '.join(str(c) for c in shard.poly.coeffs)}", file=out)
+    _emit(classpoly.shard_doc(shard), args.json, out)
     return 0
 
 
@@ -188,9 +158,6 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_construct(args, out) -> int:
-    if not 0 < args.epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 1/2)")
-    _check_jobs(args.jobs)
     result = cm.construct_curve(
         args.n,
         args.N,

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import is_prime, smallest_nonresidue, task_rng
-from .classpoly import PolyModM, build_shard, build_shards, gamma2_poly
+from .classpoly import PolyModM, build_shard, build_shards, check_jobs, gamma2_poly
 from .crt import build_basis, crt_mod_n
 from .curves import (
     EXHAUSTIVE_COUNT_MAX,
@@ -43,7 +43,7 @@ from .errors import (
     ZeroTrace,
 )
 from .poly import _ModF, _pdivmod, _pgcd, _ptrim, _split_roots
-from .primegen import DEFAULT_EPSILON, find_crt_primes, next_crt_prime
+from .primegen import DEFAULT_EPSILON, check_epsilon, find_crt_primes, next_crt_prime
 from .quadforms import Discriminant, discriminant
 
 _VERIFY_SAMPLES = 16  # random points checked above NAIVE_COUNT_CAP
@@ -252,21 +252,22 @@ def _exact_order(E: CurveModP, rng) -> int:
     return point_count_bsgs(E, rng=rng)
 
 
-def _special_j_curve(n: int, N: int, j: int, seed) -> CurveModP:
-    """Scan twists of the j = 0 / j = 1728 models for the order N.
+def _candidates(n: int, j: int, d: int):
+    """The curves with invariant j that may have the wanted order, in turn.
 
-    y^2 = x^3 + b covers the six sextic twist classes as b varies, and
-    y^2 = x^3 + ax the four quartic ones; small coefficients hit every
-    class quickly.
+    For d > 4 the root's curve and its quadratic twist: one of them has
+    n + 1 - t points, the other n + 1 + t. For d = 3 (j = 0) the models
+    y^2 = x^3 + b, which cover the six sextic twist classes as b varies,
+    and for d = 4 (j = 1728) y^2 = x^3 + ax, the four quartic ones; small
+    coefficients hit every class quickly.
     """
-    rng = task_rng(seed, "special", n, N)
-    for coef in range(1, 200):
-        E = (
-            curve(n, 0, coef) if j == 0 else curve(n, coef, 0)
-        )
-        if verify_order(E, N, rng=rng):
-            return E
-    raise Ambiguous(f"no twist with {N} points found among small coefficients")
+    if d > 4:
+        E = curve_from_j(j, n)
+        yield E
+        yield quadratic_twist(E, smallest_nonresidue(n))
+    else:
+        for coef in range(1, 200):
+            yield curve(n, 0, coef) if d == 3 else curve(n, coef, 0)
 
 
 def construct_curve(
@@ -285,11 +286,11 @@ def construct_curve(
     force_j picks another. For d > 4 with 3 not dividing d, the lift is
     that of G_D, the gamma_2 class polynomial, over the primes
     p = 2 (mod 3); its roots cube to the roots of H_D (G_D(X) divides
-    H_D(X^3)), so j is the smallest cube of a root. For d > 4 verify_order
-    decides the branch: the curve with that j if it verifies with N points,
-    else its quadratic twist, which must. For d <= 4 (j = 0 or 1728) the
-    twist classes are scanned by _special_j_curve.
+    H_D(X^3)), so j is the smallest cube of a root. The answer is the first
+    of _candidates that verify_order accepts with N points.
     """
+    check_epsilon(epsilon)
+    check_jobs(jobs)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     params = derive_cm_params(n, N)
@@ -313,16 +314,10 @@ def construct_curve(
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if disc.d <= 4:
-        E = _special_j_curve(n, N, j, seed)
-    else:
-        # A root's curve has n + 1 - t or n + 1 + t points; verify_order
-        # accepts only the one with N, so the first failure selects the twist.
-        E = curve_from_j(j, n)
-        if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
-            E = quadratic_twist(E, smallest_nonresidue(n))
-            if not verify_order(E, N, rng=task_rng(seed, "verify", n)):
-                raise Ambiguous("neither the root's curve nor its twist has N points")
+    rng = task_rng(seed, "verify", n)
+    E = next((E for E in _candidates(n, j, disc.d) if verify_order(E, N, rng=rng)), None)
+    if E is None:
+        raise Ambiguous(f"no candidate curve with j = {j} has {N} points")
     timings["construct"] = time.perf_counter() - t0
 
     return CurveResult(

@@ -23,7 +23,7 @@ from operator import lt, mul
 from typing import Sequence
 
 from .errors import NotCoprime, PrecisionBudgetExceeded
-from .primegen import DEFAULT_EPSILON
+from .primegen import DEFAULT_EPSILON, check_epsilon
 
 _GUARD_BITS = 8
 # prime sets whose n-independent half is kept: a warm construct over a few
@@ -62,8 +62,7 @@ def _prime_set(moduli: tuple[int, ...], epsilon: float):
         raise ValueError("at least one modulus required")
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 1/2)")
+    check_epsilon(epsilon)
     ell = len(moduli)
     M = math.prod(moduli)
     inverses = []

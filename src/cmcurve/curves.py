@@ -16,7 +16,6 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
@@ -53,13 +52,6 @@ class CurveModP:
             raise ValueError("field characteristic must exceed 3")
         if (4 * self.a4 ** 3 + 27 * self.a6 ** 2) % self.p == 0:
             raise ValueError("singular curve")
-
-
-class OrderVerdict(Enum):
-    MATCHES_PLUS = "matches_plus"  # group order is p + 1 + t
-    MATCHES_MINUS = "matches_minus"  # group order is p + 1 - t
-    NEITHER = "neither"
-    INCONCLUSIVE = "inconclusive"
 
 
 def j_invariant(p: int, a4: int, a6: int) -> int:
@@ -460,19 +452,14 @@ def point_count_bsgs(E: CurveModP, *, rng: random.Random | None = None) -> int:
     )
 
 
-def order_filter(
-    E: CurveModP, t: int, *, rng: random.Random | None = None
-) -> OrderVerdict:
-    """Cheap probabilistic test of whether #E is p + 1 - t or p + 1 + t.
+def order_filter(E: CurveModP, t: int, *, rng: random.Random | None = None) -> bool:
+    """Cheap test of whether #E can be p + 1 - t or p + 1 + t.
 
     For each of four sampled points P we compare [p+1]P against [t]P:
     equality means p + 1 - t annihilates P, opposition means p + 1 + t
-    does. NEITHER is exact (a point not annihilated by a candidate rules
-    that order out); the MATCHES verdicts are probabilistic and get
-    confirmed by an exact count downstream. INCONCLUSIVE means both
-    candidates annihilated every sample. When #E is known to be one of the
-    two, the true one annihilates every point, so a MATCHES verdict is
-    then never the wrong branch.
+    does. False is exact: a sample not annihilated by p + 1 - t and one not
+    annihilated by p + 1 + t rule both orders out. True only means neither
+    is ruled out; an exact count must confirm it.
     """
     p = E.p
     if not 0 < t <= math.isqrt(4 * p):
@@ -492,7 +479,5 @@ def order_filter(
         minus_ok = minus_ok and same
         plus_ok = plus_ok and opposite
         if not (minus_ok or plus_ok):
-            return OrderVerdict.NEITHER
-    if minus_ok and plus_ok:
-        return OrderVerdict.INCONCLUSIVE
-    return OrderVerdict.MATCHES_MINUS if minus_ok else OrderVerdict.MATCHES_PLUS
+            return False
+    return True

@@ -47,6 +47,12 @@ class PrimeStats:
     max_p_over_logB_sq: float
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The CRT rounding margin must lie in (0, 1/2)."""
+    if not 0 < epsilon < 0.5:
+        raise ValueError("epsilon must be in (0, 1/2)")
+
+
 def default_target_log(
     disc: Discriminant, epsilon: float = DEFAULT_EPSILON, *, gamma2: bool = False
 ) -> float:
@@ -56,8 +62,7 @@ def default_target_log(
     polynomial: |gamma_2| = |j|^(1/3), so the exponential part of log B is
     divided by 3 and the binomial factor C(h, floor(h/2)) is kept.
     """
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 1/2)")
+    check_epsilon(epsilon)
     log_b = disc.log_B
     if gamma2:
         log_c = math.log(math.comb(disc.h, disc.h // 2))

@@ -203,6 +203,18 @@ def test_find_j_invariants_rejects_mismatched_prime():
         find_j_invariants(disc, CrtPrime(17, 5))
 
 
+def test_find_j_invariants_refuses_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        find_j_invariants(discriminant(-59), CrtPrime(17, 3), jobs=0)
+
+
+def test_build_shards_refuses_jobs_below_one_on_a_cached_shard(tmp_path):
+    disc, cp = discriminant(-59), CrtPrime(17, 3)
+    build_shards(disc, [cp], cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        build_shards(disc, [cp], jobs=0, cache_dir=tmp_path)
+
+
 def test_wrong_count_aborts():
     # class number forced wrong: the scan still finds 3 roots, not 4
     fake = Discriminant(D=-59, d=59, h=4, log_B=41.3)

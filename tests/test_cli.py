@@ -74,6 +74,26 @@ def test_hdmodp_writes_cache(tmp_path):
     assert (tmp_path / "D59" / "p17.json").exists()
 
 
+def test_hdmodp_json_prints_the_cache_file(tmp_path):
+    code, out = run_cli(
+        "hdmodp", "-D", "-59", "-p", "17", "--cache", str(tmp_path), "--json"
+    )
+    assert code == 0
+    assert out == (tmp_path / "D59" / "p17.json").read_text()
+
+
+def test_text_mode_renders_the_json_document():
+    # the same keys in the same order; nested lists print comma-joined
+    code, out = run_cli("hdmodp", "-D", "-59", "-p", "17")
+    assert code == 0
+    assert out.splitlines() == [
+        "D: -59", "p: 17", "t: 3", "h: 3", "j_set: 2 7 13", "coeffs: 5 12 12 1",
+    ]
+    code, out = run_cli("forms", "-D", "-59")
+    assert code == 0
+    assert out.splitlines()[:3] == ["D: -59", "h: 3", "forms: 1,1,15 3,-1,5 3,1,5"]
+
+
 def test_env_cache_dir_overrides_flag(tmp_path, monkeypatch):
     env_cache = tmp_path / "from_env"
     flag_cache = tmp_path / "from_flag"

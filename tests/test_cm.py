@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,21 @@ def test_construct_curve_special_j_force_j(n, N, j):
         construct_curve(n, N, force_j=1)
 
 
+@pytest.mark.parametrize("n, N, epsilon", [(7, 3, 5.0), (5, 2, 0.5)], ids=["d3", "d4"])
+def test_construct_curve_checks_epsilon_for_every_d(n, N, epsilon):
+    # d <= 4 takes no prime search, which is not where the check may live
+    with pytest.raises(ValueError, match=re.escape("epsilon must be in (0, 1/2)")):
+        construct_curve(n, N, epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "n, N, jobs", [(5, 2, 0), (141767, 142521, -3)], ids=["d4", "D59"]
+)
+def test_construct_curve_checks_jobs_for_every_d(n, N, jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        construct_curve(n, N, jobs=jobs)
+
+
 @pytest.mark.parametrize("n, N", [(141767, 142521), (7, 3)], ids=["D59", "D3"])
 def test_construct_curve_timings_keys(n, N):
     stages = {"derive", "primes", "hilbert", "root", "construct"}
@@ -321,6 +337,42 @@ def test_construct_curve_raises_ambiguous_when_neither_branch_verifies(
         construct_curve(141767, 142521, cache_dir=shard_cache)
     E = curve_from_j(4160, 141767)
     assert tried == [E, quadratic_twist(E, smallest_nonresidue(141767))]
+
+
+SPECIAL = [(211, 183, 3), (211, 241, 3), (257, 226, 4), (257, 290, 4)]
+
+
+@pytest.mark.parametrize("n, N, d", SPECIAL, ids=["d3-minus", "d3-plus", "d4-minus", "d4-plus"])
+def test_construct_curve_tries_the_special_models_in_order(monkeypatch, n, N, d):
+    # y^2 = x^3 + b for d = 3 and y^2 = x^3 + ax for d = 4, coefficient
+    # 1, 2, ... up to the first that verifies
+    verified = []
+
+    def spy(E, N, **kw):
+        verified.append((E.a4, E.a6))
+        return verify_order(E, N, **kw)
+
+    monkeypatch.setattr(cm, "verify_order", spy)
+    E = construct_curve(n, N).curve
+    assert point_count_naive(E) == N
+    last = E.a6 if d == 3 else E.a4
+    assert verified == [(0, c) if d == 3 else (c, 0) for c in range(1, last + 1)]
+
+
+@pytest.mark.parametrize("n, N", [(211, 183), (257, 226)], ids=["d3", "d4"])
+def test_construct_curve_raises_ambiguous_when_no_special_model_verifies(
+    monkeypatch, n, N
+):
+    tried = []
+
+    def reject(E, N, **kw):
+        tried.append(E)
+        return False
+
+    monkeypatch.setattr(cm, "verify_order", reject)
+    with pytest.raises(Ambiguous):
+        construct_curve(n, N)
+    assert len(tried) == 199
 
 
 def test_verify_order_golden_curve():

@@ -32,6 +32,10 @@ GUARD_TESTS = [
     "tests/test_crt.py::test_crt_mod_n_rejects_unreduced_residues",
     "tests/test_cm.py::test_derive_cm_params_rejects_a_ramified_n",
     "tests/test_curves.py::test_scalar_mul_matches_repeated_addition_on_every_point",
+    "tests/test_cm.py::test_construct_curve_checks_epsilon_for_every_d",
+    "tests/test_cm.py::test_construct_curve_checks_jobs_for_every_d",
+    "tests/test_classpoly.py::test_find_j_invariants_refuses_jobs_below_one",
+    "tests/test_classpoly.py::test_build_shards_refuses_jobs_below_one_on_a_cached_shard",
 ]
 
 
@@ -44,5 +48,6 @@ def test_guard_tests_pass_under_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # parametrized cases: 4 forged shards, 4 pinned log B values, 5 oracle
     # discriminants, 10 certified lifts, 2 of each certificate mutant and
-    # 4 primes of scalar multiplication on every point
-    assert re.search(r"^42 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # 4 primes of scalar multiplication on every point, then 2 epsilon and
+    # 2 jobs refusals of construct_curve and 2 of the shard scan
+    assert re.search(r"^48 passed\b", proc.stdout, re.MULTILINE), proc.stdout

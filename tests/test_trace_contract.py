@@ -32,13 +32,19 @@ def test_every_traced_name_exists_on_cm_and_classpoly():
 
 def test_a_traced_cold_construct_reaches_every_counted_layer(tmp_path):
     # the names must also be the ones the pipeline calls through: a call
-    # that bypasses a rebound global would leave its counter at zero
+    # that bypasses a rebound global would leave its counter at zero, and
+    # one that moves a filter would change the exact counts pinned here
     spans = _spans_module()
     tracer = spans.Tracer()
     with spans.rebound(tracer, cm, classpoly):
         cm.construct_curve(141767, 142521, cache_dir=tmp_path)
-    for key in ("scanned_p", "probe_survivors", "exact_counts"):
-        assert tracer.counts[f"classpoly.{key}"] > 0, key
+    assert dict(tracer.counts) == {
+        "classpoly.scanned_p": 806,  # the four gamma_2 primes 17 + 71 + 197 + 521
+        "classpoly.probe_survivors": 13,
+        "classpoly.exact_counts": 12,
+        "classpoly.confirmed": 12,  # h = 3 j per shard
+        "crt.terms": 12,  # h = 3 coefficients over 4 primes
+    }
     names = {span[3] for span in tracer.spans}
     for name in ("crt.build_basis", "crt.crt_mod_n", "cm.find_root_mod_n",
                  "cm.verify_order"):
