@@ -4,14 +4,12 @@ reductions at many small primes."""
 
 from .arith import is_prime, legendre, sqrt_mod_p
 from .classpoly import (
-    PolyModM,
     Shard,
     build_shard,
     build_shards,
     find_j_invariants,
     gamma2_poly,
     load_shard,
-    poly_from_roots,
     save_shard,
     shard_path,
 )
@@ -20,7 +18,6 @@ from .cm import (
     CurveResult,
     construct_curve,
     derive_cm_params,
-    find_all_roots,
     find_root_mod_n,
     hilbert_mod_n,
     lift_shards,
@@ -41,6 +38,7 @@ from .curves import (
     random_point,
     scalar_mul,
 )
+from .poly import PolyModM, find_all_roots, poly_from_roots
 from .primegen import CrtPrime, PrimeSet, find_crt_primes, next_crt_prime, prime_stats
 from .quadforms import (
     Discriminant,

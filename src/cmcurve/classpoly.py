@@ -23,12 +23,12 @@ below may work on any twist:
   inversion costs one lookup;
 - the four-point order filter and an exact count for the few survivors.
 
-The h roots assemble into the monic shard polynomial prod (X - j) mod p,
-which is what later gets lifted coefficient by coefficient. A cached shard
-is checked on load with a 2-torsion character test and the probe, h
-probes in all, once per distinct file text in a process. The cubic's
-discriminant is -(432jk)^2 k, so it has exactly one root, a point of
-order 2, iff chi(j - 1728) = -1: an odd order has no such point and an
+The h roots assemble into the monic shard polynomial prod (X - j) mod p
+(poly.poly_from_roots), which later gets lifted coefficient by coefficient.
+A cached shard is checked on load with a 2-torsion character test and
+the probe, h probes in all, once per distinct file text in a process. The
+cubic's discriminant is -(432jk)^2 k, so it has exactly one root, a point
+of order 2, iff chi(j - 1728) = -1: an odd order has no such point and an
 order of 2 (mod 4) has exactly one. The load check's probes invert with
 pow and build no table.
 """
@@ -56,35 +56,9 @@ from .curves import (
     point_count_naive,
 )
 from .errors import WrongCount
+from .poly import PolyModM, poly_from_roots
 from .primegen import CrtPrime
 from .quadforms import Discriminant
-
-
-@dataclass(frozen=True)
-class PolyModM:
-    """Polynomial with coefficients reduced mod `modulus`, lowest degree
-    first; () is the zero polynomial."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if any(not 0 <= c < self.modulus for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod the modulus")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
 
 
 @dataclass(frozen=True)
@@ -100,21 +74,6 @@ class Shard:
     @property
     def h(self) -> int:
         return len(self.j_set)
-
-
-def poly_from_roots(roots, m: int) -> PolyModM:
-    """Monic product of (X - r) mod m; the empty product is the constant 1."""
-    coeffs = [1]
-    for r in roots:
-        if not 0 <= r < m:
-            raise ValueError("roots must be reduced mod the modulus")
-        neg = (-r) % m
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = (nxt[i] + c * neg) % m
-            nxt[i + 1] = (nxt[i + 1] + c) % m
-        coeffs = nxt
-    return PolyModM(modulus=m, coeffs=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

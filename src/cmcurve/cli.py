@@ -36,12 +36,15 @@ def _check_prime(name: str, m: int) -> None:
 
 def _emit(doc: dict, as_json: bool, out) -> None:
     """doc as one line of JSON, or as "key: value" lines; a list prints
-    space-separated and each list nested in it comma-joined."""
+    space-separated and each list nested in it comma-joined, a dict as
+    space-separated key=value."""
     if as_json:
         print(json.dumps(doc, separators=(",", ":")), file=out)
         return
     for key, val in doc.items():
-        if isinstance(val, list):
+        if isinstance(val, dict):
+            val = " ".join(f"{k}={v}" for k, v in val.items())
+        elif isinstance(val, list):
             val = " ".join(",".join(v) if isinstance(v, list) else str(v) for v in val)
         print(f"{key}: {val}", file=out)
 

@@ -7,8 +7,7 @@ is extracted, and the curve with that j-invariant (or its quadratic twist)
 is the answer. For 3 not dividing d the polynomial lifted is that of
 gamma_2 = j^(1/3), whose coefficients have a third of the log-height of
 H_D's, from the same j-shards at the primes p = 2 (mod 3); j is then the
-smallest cube of its roots. The polynomial arithmetic of root finding
-lives in poly.py.
+smallest cube of its roots, found by poly.find_all_roots.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import is_prime, smallest_nonresidue, task_rng
-from .classpoly import PolyModM, build_shard, build_shards, check_jobs, gamma2_poly
+from .classpoly import build_shard, build_shards, check_jobs, gamma2_poly
 from .crt import build_basis, crt_mod_n
 from .curves import (
     EXHAUSTIVE_COUNT_MAX,
@@ -42,7 +41,7 @@ from .errors import (
     OutsideHasse,
     ZeroTrace,
 )
-from .poly import _ModF, _pdivmod, _pgcd, _ptrim, _split_roots
+from .poly import PolyModM, find_all_roots
 from .primegen import DEFAULT_EPSILON, check_epsilon, find_crt_primes, next_crt_prime
 from .quadforms import Discriminant, discriminant
 
@@ -161,46 +160,6 @@ def _class_poly_mod_n(
     return poly, primes
 
 
-# ---------------------------------------------------------------------------
-# Root finding over F_n
-# ---------------------------------------------------------------------------
-
-
-def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
-    """All roots in F_n of a nonzero polynomial, sorted ascending.
-
-    gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
-    raised to (n-1)/2 then split that product of linear factors. The first
-    shift's power W also gives X^n = (X + c) W^2 - c, since (X + c)^n =
-    X^n + c in F_n[X]. The shift sequence comes from the seed, so results
-    are reproducible. The multiply-mod and the splitting are in poly.py.
-    """
-    if poly.modulus != n:
-        raise ValueError("polynomial modulus does not match n")
-    if n < 3 or n % 2 == 0:
-        raise ValueError("root finding needs an odd prime modulus")
-    if not poly.coeffs:
-        raise ValueError("zero polynomial has every residue as a root")
-    f = _ptrim(list(poly.coeffs))
-    if len(f) == 1:
-        return []
-    rng = task_rng(seed, "roots", n)
-    c = rng.randrange(n)
-    ring = _ModF(f, n)
-    w = ring.pow_linear(c, (n - 1) // 2)
-    xq, x = ring.mul_linear(ring.mul(w, w), c), ring.pow_linear(0, 1)
-    xq[0] -= c
-    del ring  # its fold rows need not live through the split
-    g = _pgcd([(a - b) % n for a, b in zip(xq, x)], f, n)
-    if len(g) <= 1:
-        return []
-    roots = _split_roots(g, n, rng, _pdivmod(w, g, n)[1])
-    roots.sort()
-    if any(poly.evaluate(r) != 0 for r in roots):
-        raise InvariantViolation(f"split produced a non-root mod {n}")
-    return roots
-
-
 def find_root_mod_n(poly: PolyModM, n: int, seed=0, *, power: int = 1) -> int:
     """Smallest root of poly mod n, or with power = e the smallest r^e mod n
     over its roots r; raises NoRoot when there is none."""
@@ -230,7 +189,11 @@ def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None) -> b
     if rng is None:
         rng = random.Random(0)
     if p <= NAIVE_COUNT_CAP:
-        if _exact_order(E, rng) != N:
+        if p <= EXHAUSTIVE_COUNT_MAX:
+            exact = point_count_naive(E)
+        else:
+            exact = point_count_bsgs(E, rng=rng)
+        if exact != N:
             return False
         if scalar_mul(E, random_point(E, rng), N) is not None:
             raise InvariantViolation(f"exact count {N} does not annihilate a point")
@@ -244,12 +207,6 @@ def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None) -> b
         if not other_ruled_out and scalar_mul(E, P, gap) is not None:
             other_ruled_out = True
     return other_ruled_out
-
-
-def _exact_order(E: CurveModP, rng) -> int:
-    if E.p <= EXHAUSTIVE_COUNT_MAX:
-        return point_count_naive(E)
-    return point_count_bsgs(E, rng=rng)
 
 
 def _candidates(n: int, j: int, d: int):
@@ -306,8 +263,7 @@ def construct_curve(
     power = 3 if gamma2 else 1
     if force_j is not None:
         j = force_j % n
-        # some root r has r^power = j iff X^power - j and poly share a factor
-        if len(_pgcd([-j % n] + [0] * (power - 1) + [1], poly.coeffs, n)) < 2:
+        if all(pow(r, power, n) != j for r in find_all_roots(poly, n, seed)):
             raise ValueError("force_j is not a root of the class polynomial")
     else:
         j = find_root_mod_n(poly, n, seed, power=power)

@@ -1,15 +1,16 @@
-"""Dense polynomials over F_n, n an odd prime, lowest degree first: what
-root finding needs. Multiplying mod a large f uses Kronecker substitution
-(Harvey, J. Symb. Comp. 44, 2009); roots are split as in Cantor &
-Zassenhaus, Math. Comp. 36 (1981), down to quadratics, which take the
-quadratic formula.
+"""Dense polynomials mod m, lowest degree first: PolyModM, the product of
+linear factors, and root finding over F_n for an odd prime n. Multiplying
+mod a large f uses Kronecker substitution (Harvey, J. Symb. Comp. 44,
+2009); roots are split as in Cantor & Zassenhaus, Math. Comp. 36 (1981),
+down to quadratics, which take the quadratic formula.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import mul
 
-from .arith import sqrt_mod_p
+from .arith import sqrt_mod_p, task_rng
 from .errors import InvariantViolation
 
 # ms per find_all_roots of degree d, all lazy / all Kronecker, best of 12 on
@@ -17,6 +18,48 @@ from .errors import InvariantViolation
 # 4.28 / 4.65, d = 8: 7.68 / 7.22; 256-bit, d = 8: 47.4 / 55.3, d = 9: 72.3 /
 # 68.9. Kronecker-only cost construct_warm (d = 3, 5, 7) 8 % in wall_s.
 KRONECKER_MIN_DEGREE = 8
+
+
+@dataclass(frozen=True)
+class PolyModM:
+    """Polynomial with coefficients reduced mod `modulus`, lowest degree
+    first; () is the zero polynomial."""
+
+    modulus: int
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        if any(not 0 <= c < self.modulus for c in self.coeffs):
+            raise ValueError("coefficients must be reduced mod the modulus")
+        if self.coeffs and self.coeffs[-1] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def evaluate(self, x: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * x + c) % self.modulus
+        return acc
+
+
+def poly_from_roots(roots, m: int) -> PolyModM:
+    """Monic product of (X - r) mod m; the empty product is the constant 1."""
+    coeffs = [1]
+    for r in roots:
+        if not 0 <= r < m:
+            raise ValueError("roots must be reduced mod the modulus")
+        neg = (-r) % m
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] = (nxt[i] + c * neg) % m
+            nxt[i + 1] = (nxt[i + 1] + c) % m
+        coeffs = nxt
+    return PolyModM(modulus=m, coeffs=tuple(coeffs))
 
 
 def _ptrim(a):
@@ -125,6 +168,41 @@ class _ModF:
             if bit == "1":
                 r = self.mul_linear(r, c)
         return r
+
+
+def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
+    """All roots in F_n of a nonzero polynomial, sorted ascending.
+
+    gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
+    raised to (n-1)/2 then split that product of linear factors. The first
+    shift's power W also gives X^n = (X + c) W^2 - c, since (X + c)^n =
+    X^n + c in F_n[X], and W mod g is the split's first attempt. The shift
+    sequence comes from the seed, so results are reproducible.
+    """
+    if poly.modulus != n:
+        raise ValueError("polynomial modulus does not match n")
+    if n < 3 or n % 2 == 0:
+        raise ValueError("root finding needs an odd prime modulus")
+    if not poly.coeffs:
+        raise ValueError("zero polynomial has every residue as a root")
+    f = list(poly.coeffs)
+    if len(f) == 1:
+        return []
+    rng = task_rng(seed, "roots", n)
+    c = rng.randrange(n)
+    ring = _ModF(f, n)
+    w = ring.pow_linear(c, (n - 1) // 2)
+    xq, x = ring.mul_linear(ring.mul(w, w), c), ring.pow_linear(0, 1)
+    xq[0] -= c
+    del ring  # its fold rows need not live through the split
+    g = _pgcd([(a - b) % n for a, b in zip(xq, x)], f, n)
+    if len(g) <= 1:
+        return []
+    roots = _split_roots(g, n, rng, _pdivmod(w, g, n)[1])
+    roots.sort()
+    if any(poly.evaluate(r) != 0 for r in roots):
+        raise InvariantViolation(f"split produced a non-root mod {n}")
+    return roots
 
 
 def _split_roots(g, n, rng, w=None) -> list[int]:

@@ -92,7 +92,6 @@ def reduced_forms(disc: DiscLike) -> list[QuadForm]:
             if math.gcd(math.gcd(a, b), c) != 1:
                 continue
             out.append(QuadForm(a, b, c))
-    out.sort(key=lambda f: (f.a, f.b))
     return out
 
 

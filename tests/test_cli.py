@@ -153,6 +153,17 @@ def test_construct_timings_flag():
     assert "wall_times" in json.loads(out)
 
 
+def test_construct_timings_print_as_key_value_pairs():
+    # text mode renders the nested timings as stage=seconds, not as a repr
+    code, out = run_cli("construct", "-n", "141767", "-N", "142521", "--timings")
+    assert code == 0
+    key, _, pairs = out.splitlines()[-1].partition(": ")
+    assert key == "wall_times"
+    stages = dict(pair.split("=") for pair in pairs.split(" "))
+    assert list(stages) == ["derive", "primes", "hilbert", "root", "construct"]
+    assert all(float(v) >= 0 for v in stages.values())
+
+
 def test_construct_outside_hasse_exit_code(capsys):
     code, _ = run_cli("construct", "-n", "141767", "-N", "999")
     assert code == 1

@@ -238,6 +238,26 @@ def test_crt_mod_n_rejects_unreduced_residues():
         crt_mod_n(basis, [2, 3])
 
 
+def test_crt_integer_refuses_in_order():
+    # a length mismatch, then two moduli sharing a factor, named, then an
+    # unreduced residue; a modulus below 2 is refused as by build_basis
+    with pytest.raises(NotCoprime, match="moduli 15 and 21 share a factor"):
+        crt_integer([15, 7, 21], [1, 2, 3])
+    with pytest.raises(NotCoprime, match="moduli 5 and 5 share a factor"):
+        crt_integer([5, 5], [1, 1])
+    with pytest.raises(NotCoprime):
+        crt_integer([15, 7, 21], [99, 2, 3])
+    with pytest.raises(ValueError, match="length"):
+        crt_integer([15, 7, 21], [99, 2])
+    with pytest.raises(ValueError, match="residue 7 not reduced mod 7"):
+        crt_integer([3, 7], [1, 7])
+    with pytest.raises(ValueError, match="residue -1 not reduced mod 3"):
+        crt_integer([3, 7], [-1, 1])
+    for moduli in ([1, 7], [0, 7], [-3, 7]):
+        with pytest.raises(ValueError, match="moduli must be >= 2"):
+            crt_integer(moduli, [0, 0])
+
+
 def test_bases_over_one_prime_set_share_the_memoised_half():
     moduli = [101, 103, 107]
     a, b = build_basis(moduli, 11), build_basis(tuple(moduli), 13)

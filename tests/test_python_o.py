@@ -30,6 +30,7 @@ GUARD_TESTS = [
     "tests/test_cm.py::test_certificate_rejects_a_residue_off_by_one",
     "tests/test_cm.py::test_certificate_rejects_a_basis_cut_below_a_coefficient",
     "tests/test_crt.py::test_crt_mod_n_rejects_unreduced_residues",
+    "tests/test_crt.py::test_crt_integer_refuses_in_order",
     "tests/test_cm.py::test_derive_cm_params_rejects_a_ramified_n",
     "tests/test_curves.py::test_scalar_mul_matches_repeated_addition_on_every_point",
     "tests/test_cm.py::test_construct_curve_checks_epsilon_for_every_d",
@@ -50,4 +51,4 @@ def test_guard_tests_pass_under_python_O():
     # discriminants, 10 certified lifts, 2 of each certificate mutant and
     # 4 primes of scalar multiplication on every point, then 2 epsilon and
     # 2 jobs refusals of construct_curve and 2 of the shard scan
-    assert re.search(r"^48 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    assert re.search(r"^49 passed\b", proc.stdout, re.MULTILINE), proc.stdout
