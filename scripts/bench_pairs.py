@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL_LINES = 40  # of a failed run, in the error message
 
 
 def _spread(values) -> dict:
@@ -78,9 +79,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
+    run = f"{tree}: {workload} seed {seed} (exit code {proc.returncode})"
+    stderr_tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
     if not lines:
-        raise SystemExit(f"{tree}: {workload} seed {seed} printed nothing\n{proc.stderr}")
-    return json.loads(lines[-1])
+        raise SystemExit(f"{run} printed nothing\n{stderr_tail}")
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"{run} ended without a JSON line\n{stderr_tail}") from None
 
 
 def parse_args(argv, workloads) -> argparse.Namespace:

@@ -11,12 +11,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmcurve import (  # noqa: E402
+    build_shard,
     build_shards,
     construct_curve,
     crt_integer,
     derive_cm_params,
     find_crt_primes,
     lift_shards,
+    next_crt_prime,
     point_count_naive,
     reduced_forms,
 )
@@ -57,7 +59,8 @@ def main() -> None:
     if disc.d % 3 and disc.d > 4:
         g_primes = find_crt_primes(disc, gamma2=True).primes
         g_shards = build_shards(disc, g_primes)
-        g_lifted = lift_shards(g_shards, n, 0.001, gamma2=True, certify=True)
+        q = next_crt_prime(disc.d, g_primes[-1].t, gamma2=True)
+        g_lifted = lift_shards(g_shards, n, 0.001, gamma2=True, spare=build_shard(disc, q))
         print(f"\ngamma_2 primes {[s.p for s in g_shards]}: G_D mod {n} = "
               f"{list(g_lifted.coeffs)} (certified), as construct lifts it")
 

@@ -7,7 +7,9 @@ is extracted, and the curve with that j-invariant (or its quadratic twist)
 is the answer. For 3 not dividing d the polynomial lifted is that of
 gamma_2 = j^(1/3), whose coefficients have a third of the log-height of
 H_D's, from the same j-shards at the primes p = 2 (mod 3); j is then the
-smallest cube of its roots, found by poly.find_all_roots.
+smallest cube of its roots, found by poly.find_all_roots. Each lift is
+checked at a spare prime; with j a root of H_D the curve has n + 1 -+ t
+points (Deuring), so for d > 4 one point that tells the two apart decides.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import is_prime, smallest_nonresidue, task_rng
-from .classpoly import build_shard, build_shards, check_jobs, gamma2_poly
+from .classpoly import Shard, build_shards, check_jobs, gamma2_poly
 from .crt import build_basis, crt_mod_n
 from .curves import (
     EXHAUSTIVE_COUNT_MAX,
@@ -87,7 +89,7 @@ def derive_cm_params(n: int, N: int) -> CmParams:
 
 
 def lift_shards(
-    shards, n: int, epsilon: float, *, gamma2: bool = False, certify: bool = False
+    shards, n: int, epsilon: float, *, gamma2: bool = False, spare: Shard | None = None
 ) -> PolyModM:
     """The monic polynomial mod n whose reductions are the given shards.
 
@@ -96,23 +98,22 @@ def lift_shards(
     reductions are the shards' gamma2_poly, which needs every p = 2 (mod 3),
     and the result is the gamma_2 class polynomial mod n.
 
-    With certify the lift is checked at a spare prime: the next prime q of
-    the same search past the shards is taken, its shard is built, and the
-    same residues lifted to q over the same moduli must give its
-    reduction exactly, else CertificateFailed. This catches a wrong
-    residue and a coefficient that is not below (1/2 - epsilon) M; a lift
-    to a basis prime catches neither, as it returns that prime's residue.
+    A spare shard, at a prime q outside the basis, certifies the lift: the
+    same residues lifted to q over the same moduli must give its reduction
+    exactly, else CertificateFailed. This catches a wrong residue and a
+    coefficient that is not below (1/2 - epsilon) M; a lift to a basis
+    prime catches neither, as it returns that prime's residue.
     """
     reduction = gamma2_poly if gamma2 else (lambda s: s.poly)
     polys = [reduction(s) for s in shards]
     moduli = [s.p for s in shards]
     lifted = _lift_polys(moduli, polys, n, epsilon)
-    if certify:
-        disc = discriminant(shards[0].D)
-        cq = next_crt_prime(disc.d, max(s.t for s in shards), gamma2=gamma2)
-        if _lift_polys(moduli, polys, cq.p, epsilon) != reduction(build_shard(disc, cq)):
+    if spare is not None:
+        if spare.p in moduli:
+            raise ValueError(f"spare prime {spare.p} is a basis prime")
+        if _lift_polys(moduli, polys, spare.p, epsilon) != reduction(spare):
             raise CertificateFailed(
-                f"lift over {len(moduli)} primes disagrees with the shard at q = {cq.p}"
+                f"lift over {len(moduli)} primes disagrees with the shard at q = {spare.p}"
             )
     return lifted
 
@@ -140,7 +141,9 @@ def _class_poly_mod_n(
 
     d = 3 and d = 4 short-circuit to X and X - 1728 (j = 0 and j = 1728)
     over no primes. Everything else goes through shards at split primes and
-    the modular CRT lift, one coefficient at a time.
+    the modular CRT lift, one coefficient at a time, certified by the
+    shard of the search's next prime; it is built, or read from the cache,
+    like the others, and is not among the primes returned.
     """
     t0 = time.perf_counter()
     prime_set = None
@@ -154,7 +157,9 @@ def _class_poly_mod_n(
         primes = ()
     else:
         shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
-        poly = lift_shards(shards, n, epsilon, gamma2=gamma2)
+        q = next_crt_prime(disc.d, max(cp.t for cp in prime_set.primes), gamma2=gamma2)
+        (spare,) = build_shards(disc, [q], jobs=jobs, cache_dir=cache_dir)
+        poly = lift_shards(shards, n, epsilon, gamma2=gamma2, spare=spare)
         primes = tuple(s.p for s in shards)
     timings["hilbert"] = time.perf_counter() - t0
     return poly, primes
@@ -174,13 +179,18 @@ def find_root_mod_n(poly: PolyModM, n: int, seed=0, *, power: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None) -> bool:
+def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None, cm=False) -> bool:
     """Check #E(F_p) = N.
 
     For fields up to NAIVE_COUNT_CAP an exact count decides. Above it,
     random points must all be annihilated by N while the complementary
     candidate N' = 2p + 2 - N fails on at least one of them. Once [N]P = O,
     [N']P = [N' - N]P, a scalar of half the length.
+
+    With cm the caller knows that #E is N or N', and the first point with
+    [N]P = O and [N']P != O proves #E = N: no curve of order N' has one.
+    The points drawn up to there, and so the answer, are those of the
+    16-point rule.
     """
     p = E.p
     lo, hi = hasse_interval(p)
@@ -206,6 +216,8 @@ def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None) -> b
             return False
         if not other_ruled_out and scalar_mul(E, P, gap) is not None:
             other_ruled_out = True
+        if cm and other_ruled_out:
+            return True
     return other_ruled_out
 
 
@@ -244,7 +256,10 @@ def construct_curve(
     that of G_D, the gamma_2 class polynomial, over the primes
     p = 2 (mod 3); its roots cube to the roots of H_D (G_D(X) divides
     H_D(X^3)), so j is the smallest cube of a root. The answer is the first
-    of _candidates that verify_order accepts with N points.
+    of _candidates that verify_order accepts with N points. The lift is
+    certified at a spare prime, so for d > 4 each candidate has N or
+    N' = 2n + 2 - N points, and verify_order decides at its first point
+    that tells them apart, which gives the same answer as 16 points.
     """
     check_epsilon(epsilon)
     check_jobs(jobs)
@@ -271,7 +286,10 @@ def construct_curve(
 
     t0 = time.perf_counter()
     rng = task_rng(seed, "verify", n)
-    E = next((E for E in _candidates(n, j, disc.d) if verify_order(E, N, rng=rng)), None)
+    cm = disc.d > 4  # d = 3 and d = 4 leave six or four possible orders
+    E = next(
+        (E for E in _candidates(n, j, disc.d) if verify_order(E, N, rng=rng, cm=cm)), None
+    )
     if E is None:
         raise Ambiguous(f"no candidate curve with j = {j} has {N} points")
     timings["construct"] = time.perf_counter() - t0

@@ -150,6 +150,8 @@ def crt_integer(moduli: Sequence[int], residues: Sequence[int]) -> int:
     inverses prove the moduli coprime, as in _prime_set."""
     if len(residues) != len(moduli):
         raise ValueError("residue vector length does not match the moduli")
+    if not moduli:
+        raise ValueError("at least one modulus required")
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
     M = math.prod(moduli)

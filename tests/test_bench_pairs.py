@@ -61,3 +61,21 @@ def test_arguments_rejected():
                  BASE[:5] + ["--pairs", "1"] + BASE[7:]):
         with pytest.raises(SystemExit):
             parse(argv, NAMES)
+
+
+@pytest.mark.parametrize("stdout", ["", "op 0 done\nnot json"], ids=["empty", "not-json"])
+def test_a_run_without_a_json_last_line_names_it_and_keeps_stderr(tmp_path, stdout):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        f"print({stdout!r})\n"
+        "print('\\n'.join(f'line {i}' for i in range(100)), file=sys.stderr)\n"
+        "print('Traceback: boom', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    with pytest.raises(SystemExit) as info:
+        _module().run_once(tmp_path, "construct_warm", 11, 0.5)
+    message = str(info.value.code)
+    assert message.startswith(f"{tmp_path}: construct_warm seed 11 (exit code 3)")
+    assert message.endswith("line 99\nTraceback: boom")
+    assert "line 60" not in message  # only the tail of stderr

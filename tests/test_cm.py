@@ -44,7 +44,7 @@ from cmcurve.errors import (
 )
 from cmcurve.classpoly import build_shards, gamma2_poly
 from cmcurve.crt import crt_integer
-from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes
+from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes, next_crt_prime
 from cmcurve.quadforms import discriminant, is_fundamental
 
 N59 = 141767
@@ -339,6 +339,78 @@ def test_construct_curve_raises_ambiguous_when_neither_branch_verifies(
     assert tried == [E, quadratic_twist(E, smallest_nonresidue(141767))]
 
 
+# Mutants of construct_curve above NAIVE_COUNT_CAP, where verify_order
+# samples points: the 64-bit D = -59 pair of BOTH_SIGNS (the gamma_2 lift)
+# and a 64-bit D = -51 pair (3 | d, the j lift), N = n + 1 - t
+T51 = 6074001029
+MUTANT_PAIRS = [(-59, *BOTH_SIGNS[0][:2]), (-51, (T51 * T51 + 51) // 4, T51)]
+
+
+@pytest.mark.parametrize("D, n, t", MUTANT_PAIRS, ids=["D59", "D51"])
+def test_construct_curve_rejects_a_j_that_is_no_root(shard_cache, monkeypatch, D, n, t):
+    real = cm.find_root_mod_n
+    monkeypatch.setattr(
+        cm, "find_root_mod_n", lambda poly, n, *a, **kw: (real(poly, n, *a, **kw) + 1) % n
+    )
+    with pytest.raises(Ambiguous):
+        construct_curve(n, n + 1 - t, cache_dir=shard_cache)
+
+
+@pytest.mark.parametrize("D, n, t", MUTANT_PAIRS, ids=["D59", "D51"])
+def test_construct_curve_rejects_a_shard_residue_off_by_one(
+    shard_cache, monkeypatch, D, n, t
+):
+    gamma2 = D % 3 != 0
+    p = find_crt_primes(discriminant(D), gamma2=gamma2).primes[1].p
+    if gamma2:
+        real = cm.gamma2_poly
+        monkeypatch.setattr(
+            cm, "gamma2_poly", lambda s: _bumped(real(s)) if s.p == p else real(s)
+        )
+    else:
+        real = cm.build_shards
+        monkeypatch.setattr(cm, "build_shards", lambda *a, **kw: [
+            dataclasses.replace(s, poly=_bumped(s.poly)) if s.p == p else s
+            for s in real(*a, **kw)
+        ])
+    with pytest.raises(CertificateFailed):
+        construct_curve(n, n + 1 - t, cache_dir=shard_cache)
+
+
+@pytest.mark.parametrize("D, n, t", MUTANT_PAIRS, ids=["D59", "D51"])
+def test_construct_curve_rejects_the_wrong_twist_alone(shard_cache, monkeypatch, D, n, t):
+    N = n + 1 - t
+    result = construct_curve(n, N, cache_dir=shard_cache)
+    E = curve_from_j(result.j, n)
+    wrong = quadratic_twist(E, smallest_nonresidue(n)) if result.curve == E else E
+    monkeypatch.setattr(cm, "_candidates", lambda n, j, d: iter([wrong]))
+    with pytest.raises(Ambiguous):
+        construct_curve(n, N, cache_dir=shard_cache)
+
+
+def test_construct_curve_decides_by_the_first_distinguishing_point(
+    shard_cache, monkeypatch
+):
+    # at 256 bits the root's own curve has n + 1 + t points: one point
+    # accepts it; for n + 1 - t one point rejects it and one accepts the
+    # twist. verify_order without cm still draws all 16 points.
+    n, t, j, minus, plus = BOTH_SIGNS[1]
+    drawn = []
+    real = cm.random_point
+    monkeypatch.setattr(
+        cm, "random_point", lambda E, rng: drawn.append((E.a4, E.a6)) or real(E, rng)
+    )
+    first = curve_from_j(j, n)
+    for N, want, draws in ((n + 1 + t, plus, [plus]),
+                           (n + 1 - t, minus, [(first.a4, first.a6), minus])):
+        drawn.clear()
+        E = construct_curve(n, N, cache_dir=shard_cache).curve
+        assert ((E.a4, E.a6), drawn) == (want, draws)
+        drawn.clear()
+        assert verify_order(E, N)
+        assert drawn == [want] * 16
+
+
 SPECIAL = [(211, 183, 3), (211, 241, 3), (257, 226, 4), (257, 290, 4)]
 
 
@@ -389,6 +461,22 @@ def test_verify_order_large_field_sampling_path():
     assert n_true == 67112568
     assert verify_order(E, n_true)
     assert not verify_order(E, 2 * p + 2 - n_true)
+
+
+def test_verify_order_cm_needs_a_point_that_tells_the_orders_apart(monkeypatch):
+    # y^2 = (x - 1)(x^2 + x + 2) has the 2-torsion point (1, 0); #E and
+    # N' = 2p + 2 - #E are both even, so [N']P = O as well as [#E]P = O,
+    # and the point may not settle the order either way
+    p = 67108879
+    E = curve(p, 1, p - 2)
+    n_true = point_count_bsgs(E, rng=task_rng(0))
+    other = 2 * p + 2 - n_true
+    assert n_true % 2 == 0 and n_true != other
+    real = cm.random_point
+    for N, verdict in ((other, False), (n_true, True)):
+        draws = iter([(1, 0)])
+        monkeypatch.setattr(cm, "random_point", lambda E, rng: next(draws, None) or real(E, rng))
+        assert verify_order(E, N, cm=True) is verdict
 
 
 def test_verify_order_requires_hasse():
@@ -483,45 +571,68 @@ def _cert_shards(D, gamma2, cache):
     )
 
 
+def _cert_spare(D, gamma2, shards, cache):
+    # the shard of the prime that the search takes next past the shards
+    disc = discriminant(D)
+    q = next_crt_prime(disc.d, max(s.t for s in shards), gamma2=gamma2)
+    return build_shards(disc, [q], cache_dir=cache)[0]
+
+
+def _bumped(f):
+    return PolyModM(f.modulus, ((f.coeffs[0] + 1) % f.modulus,) + f.coeffs[1:])
+
+
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
 @pytest.mark.parametrize("D", CERT_D)
 def test_certified_lift_equals_the_plain_lift(D, gamma2, cert_cache):
     shards = _cert_shards(D, gamma2, cert_cache)
     plain = lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2)
-    certified = lift_shards(
-        shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True
-    )
+    spare = _cert_spare(D, gamma2, shards, cert_cache)
+    certified = lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, spare=spare)
     assert certified == plain
 
 
 def test_certificate_builds_the_next_shard_of_the_search(cert_cache, monkeypatch):
-    built = []
-    real = cm.build_shard
-    monkeypatch.setattr(cm, "build_shard", lambda disc, cp: built.append(cp.p) or real(disc, cp))
-    for gamma2 in (False, True):
-        shards = _cert_shards(-59, gamma2, cert_cache)
-        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)
-    assert built == [5867, 827]
+    # the j lift of hilbert_mod_n and the gamma_2 lift of construct_curve
+    # each ask for their shards, then for the next prime of the same search
+    asked = []
+    real = cm.build_shards
+
+    def spy(disc, crt_primes, **kw):
+        asked.append([cp.p for cp in crt_primes])
+        return real(disc, crt_primes, **kw)
+
+    monkeypatch.setattr(cm, "build_shards", spy)
+    hilbert_mod_n(discriminant(-59), CERT_N)
+    result = construct_curve(141767, 142521, cache_dir=cert_cache)
+    assert asked == [
+        [17, 71, 197, 521, 827, 1907, 3797, 5417], [5867], [17, 71, 197, 521], [827]
+    ]
+    assert result.primes_used == (17, 71, 197, 521)  # the spare is not among them
+
+
+def test_certificate_refuses_a_spare_from_the_basis(cert_cache):
+    # a lift to a basis prime returns that prime's residue: no check at all
+    shards = _cert_shards(-59, True, cert_cache)
+    with pytest.raises(ValueError, match="spare prime 71 is a basis prime"):
+        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=True, spare=shards[1])
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
 def test_certificate_rejects_a_residue_off_by_one(gamma2, cert_cache, monkeypatch):
     shards = _cert_shards(-59, gamma2, cert_cache)
+    spare = _cert_spare(-59, gamma2, shards, cert_cache)
     p = shards[1].p
-
-    def bumped(f):
-        return PolyModM(f.modulus, ((f.coeffs[0] + 1) % f.modulus,) + f.coeffs[1:])
-
     if gamma2:
         real = cm.gamma2_poly
         monkeypatch.setattr(
-            cm, "gamma2_poly", lambda s: bumped(real(s)) if s.p == p else real(s)
+            cm, "gamma2_poly", lambda s: _bumped(real(s)) if s.p == p else real(s)
         )
     else:
-        shards[1] = dataclasses.replace(shards[1], poly=bumped(shards[1].poly))
+        shards[1] = dataclasses.replace(shards[1], poly=_bumped(shards[1].poly))
     lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
     with pytest.raises(CertificateFailed):
-        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)
+        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, spare=spare)
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
@@ -537,9 +648,10 @@ def test_certificate_rejects_a_basis_cut_below_a_coefficient(gamma2, cert_cache)
         k for k in range(1, len(shards))
         if (0.5 - DEFAULT_EPSILON) * math.prod(moduli[:k]) < top
     )
+    spare = _cert_spare(-59, gamma2, shards[:k], cert_cache)
     lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
     with pytest.raises(CertificateFailed):
-        lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2, certify=True)
+        lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2, spare=spare)
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])

@@ -240,7 +240,10 @@ def test_crt_mod_n_rejects_unreduced_residues():
 
 def test_crt_integer_refuses_in_order():
     # a length mismatch, then two moduli sharing a factor, named, then an
-    # unreduced residue; a modulus below 2 is refused as by build_basis
+    # unreduced residue; no modulus at all and a modulus below 2 are
+    # refused as by build_basis
+    with pytest.raises(ValueError, match="at least one modulus required"):
+        crt_integer([], [])
     with pytest.raises(NotCoprime, match="moduli 15 and 21 share a factor"):
         crt_integer([15, 7, 21], [1, 2, 3])
     with pytest.raises(NotCoprime, match="moduli 5 and 5 share a factor"):

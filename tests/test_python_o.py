@@ -29,6 +29,10 @@ GUARD_TESTS = [
     "tests/test_cm.py::test_certified_lift_equals_the_plain_lift",
     "tests/test_cm.py::test_certificate_rejects_a_residue_off_by_one",
     "tests/test_cm.py::test_certificate_rejects_a_basis_cut_below_a_coefficient",
+    "tests/test_cm.py::test_certificate_refuses_a_spare_from_the_basis",
+    "tests/test_cm.py::test_construct_curve_rejects_a_j_that_is_no_root",
+    "tests/test_cm.py::test_construct_curve_rejects_a_shard_residue_off_by_one",
+    "tests/test_cm.py::test_construct_curve_rejects_the_wrong_twist_alone",
     "tests/test_crt.py::test_crt_mod_n_rejects_unreduced_residues",
     "tests/test_crt.py::test_crt_integer_refuses_in_order",
     "tests/test_cm.py::test_derive_cm_params_rejects_a_ramified_n",
@@ -48,7 +52,8 @@ def test_guard_tests_pass_under_python_O():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # parametrized cases: 4 forged shards, 4 pinned log B values, 5 oracle
-    # discriminants, 10 certified lifts, 2 of each certificate mutant and
-    # 4 primes of scalar multiplication on every point, then 2 epsilon and
-    # 2 jobs refusals of construct_curve and 2 of the shard scan
-    assert re.search(r"^49 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # discriminants, 10 certified lifts, 2 of each certificate mutant, 1
+    # spare refusal, 2 pairs for each construct_curve mutant and 4 primes
+    # of scalar multiplication on every point, then 2 epsilon and 2 jobs
+    # refusals of construct_curve and 2 of the shard scan
+    assert re.search(r"^56 passed\b", proc.stdout, re.MULTILINE), proc.stdout

@@ -39,11 +39,12 @@ def test_a_traced_cold_construct_reaches_every_counted_layer(tmp_path):
     with spans.rebound(tracer, cm, classpoly):
         cm.construct_curve(141767, 142521, cache_dir=tmp_path)
     assert dict(tracer.counts) == {
-        "classpoly.scanned_p": 806,  # the four gamma_2 primes 17 + 71 + 197 + 521
-        "classpoly.probe_survivors": 13,
-        "classpoly.exact_counts": 12,
-        "classpoly.confirmed": 12,  # h = 3 j per shard
-        "crt.terms": 12,  # h = 3 coefficients over 4 primes
+        # the four gamma_2 primes 17 + 71 + 197 + 521 and the spare 827
+        "classpoly.scanned_p": 1633,
+        "classpoly.probe_survivors": 17,
+        "classpoly.exact_counts": 15,
+        "classpoly.confirmed": 15,  # h = 3 j per shard
+        "crt.terms": 24,  # h = 3 coefficients over 4 primes, to n and to 827
     }
     names = {span[3] for span in tracer.spans}
     for name in ("crt.build_basis", "crt.crt_mod_n", "cm.find_root_mod_n",
