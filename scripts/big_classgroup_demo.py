@@ -24,7 +24,6 @@ from cmcurve import (  # noqa: E402
     discriminant,
     find_crt_primes,
     point_count_bsgs,
-    prime_stats,
 )
 from cmcurve.arith import task_rng  # noqa: E402
 from cmcurve.curves import curve_from_j  # noqa: E402
@@ -44,13 +43,12 @@ def main() -> None:
     print(f"D = {D}: h = {disc.h}, log B = {disc.log_B:.2f}")
 
     prime_set = find_crt_primes(disc)
-    stats = prime_stats(prime_set)
-    print(f"{stats.count} primes, largest {stats.max_p}, "
-          f"log product {prime_set.log_product:.2f}")
-    print(f"ratios: |S| log d / log B = {stats.count_times_logd_over_logB:.3f}, "
-          f"max p / (log B)^2 = {stats.max_p_over_logB_sq:.3f}")
-
     big = prime_set.primes[-1]
+    print(f"{len(prime_set.primes)} primes, largest {big.p}, "
+          f"log product {prime_set.log_product:.2f}")
+    print(f"ratios: |S| log d / log B = {prime_set.count_times_logd_over_logB:.3f}, "
+          f"max p / (log B)^2 = {prime_set.max_p_over_logB_sq:.3f}")
+
     print(f"\nbuilding the shard at p = {big.p} (t = {big.t}), jobs = {args.jobs}")
     t0 = time.perf_counter()
     shard = build_shards(disc, [big], jobs=args.jobs, cache_dir=args.cache)[0]

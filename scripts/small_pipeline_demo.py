@@ -18,9 +18,7 @@ from cmcurve import (  # noqa: E402
     derive_cm_params,
     find_crt_primes,
     lift_shards,
-    next_crt_prime,
     point_count_naive,
-    reduced_forms,
 )
 
 
@@ -32,7 +30,7 @@ def main() -> None:
     disc = params.disc
     print(f"n = {n}, N = {N} -> t = {params.t}, D = {disc.D}, h = {disc.h}")
     print(f"log B = {disc.log_B:.4f}")
-    for f in reduced_forms(disc):
+    for f in disc.forms:
         print(f"  form ({f.a}, {f.b}, {f.c})")
 
     prime_set = find_crt_primes(disc)
@@ -57,10 +55,10 @@ def main() -> None:
     print(f"coefficients mod {n}: {list(lifted.coeffs)}")
 
     if disc.d % 3 and disc.d > 4:
-        g_primes = find_crt_primes(disc, gamma2=True).primes
-        g_shards = build_shards(disc, g_primes)
-        q = next_crt_prime(disc.d, g_primes[-1].t, gamma2=True)
-        g_lifted = lift_shards(g_shards, n, 0.001, gamma2=True, spare=build_shard(disc, q))
+        g_set = find_crt_primes(disc, gamma2=True)
+        g_shards = build_shards(disc, g_set.primes)
+        spare = build_shard(disc, g_set.spare)
+        g_lifted = lift_shards(g_shards, n, 0.001, gamma2=True, spare=spare)
         print(f"\ngamma_2 primes {[s.p for s in g_shards]}: G_D mod {n} = "
               f"{list(g_lifted.coeffs)} (certified), as construct lifts it")
 

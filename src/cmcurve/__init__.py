@@ -39,7 +39,7 @@ from .curves import (
     scalar_mul,
 )
 from .poly import PolyModM, find_all_roots, poly_from_roots
-from .primegen import CrtPrime, PrimeSet, find_crt_primes, next_crt_prime, prime_stats
+from .primegen import CrtPrime, PrimeSet, find_crt_primes
 from .quadforms import (
     Discriminant,
     QuadForm,

@@ -50,12 +50,12 @@ def _emit(doc: dict, as_json: bool, out) -> None:
 
 
 def _cmd_forms(args, out) -> int:
-    disc, forms = quadforms.discriminant_and_forms(args.D)
+    disc = quadforms.discriminant(args.D)
     doc = {
         "D": str(disc.D),
         "h": str(disc.h),
-        "forms": [[str(f.a), str(f.b), str(f.c)] for f in forms],
-        "sum_inv_a": float(quadforms.sum_inverse_a(disc, forms)),
+        "forms": [[str(f.a), str(f.b), str(f.c)] for f in disc.forms],
+        "sum_inv_a": float(quadforms.sum_inverse_a(disc)),
         "log_B": disc.log_B,
     }
     _emit(doc, args.json, out)
@@ -65,15 +65,14 @@ def _cmd_forms(args, out) -> int:
 def _cmd_primes(args, out) -> int:
     disc = quadforms.discriminant(args.D)
     ps = primegen.find_crt_primes(disc, epsilon=args.epsilon)
-    stats = primegen.prime_stats(ps)
     doc = {
         "D": str(disc.D),
-        "count": str(stats.count),
+        "count": str(len(ps.primes)),
         "target_log": ps.target_log,
         "log_product": ps.log_product,
-        "max_p": str(stats.max_p),
-        "count_times_logd_over_logB": stats.count_times_logd_over_logB,
-        "max_p_over_logB_sq": stats.max_p_over_logB_sq,
+        "max_p": str(ps.primes[-1].p),
+        "count_times_logd_over_logB": ps.count_times_logd_over_logB,
+        "max_p_over_logB_sq": ps.max_p_over_logB_sq,
         "primes": [[str(cp.p), str(cp.t)] for cp in ps.primes],
     }
     _emit(doc, args.json, out)
@@ -118,6 +117,10 @@ def _cmd_lift(args, out) -> int:
         raise ValueError("lift needs -n unless --integer is given")
     shards = _load_shard_dir(Path(args.shards))
     h = shards[0].h
+    log_m = math.fsum(math.log(s.p) for s in shards)
+    bound = primegen.default_target_log(quadforms.discriminant(shards[0].D), args.epsilon)
+    if log_m < bound:  # the lift would be some other polynomial, in either mode
+        raise ValueError(f"shards reach log M = {log_m:.4f}, below the bound {bound:.4f}")
     if args.integer:
         moduli = [s.p for s in shards]
         ints = [

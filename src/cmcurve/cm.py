@@ -44,7 +44,7 @@ from .errors import (
     ZeroTrace,
 )
 from .poly import PolyModM, find_all_roots
-from .primegen import DEFAULT_EPSILON, check_epsilon, find_crt_primes, next_crt_prime
+from .primegen import DEFAULT_EPSILON, check_epsilon, find_crt_primes
 from .quadforms import Discriminant, discriminant
 
 _VERIFY_SAMPLES = 16  # random points checked above NAIVE_COUNT_CAP
@@ -52,8 +52,6 @@ _VERIFY_SAMPLES = 16  # random points checked above NAIVE_COUNT_CAP
 
 @dataclass(frozen=True)
 class CmParams:
-    n: int
-    N: int
     t: int
     disc: Discriminant
 
@@ -85,7 +83,7 @@ def derive_cm_params(n: int, N: int) -> CmParams:
     disc = discriminant(t * t - 4 * n)
     if (6 * disc.d) % n == 0:
         raise InvariantViolation(f"n = {n} ramifies in d = {disc.d}; impossible for t != 0")
-    return CmParams(n=n, N=N, t=t, disc=disc)
+    return CmParams(t=t, disc=disc)
 
 
 def lift_shards(
@@ -142,8 +140,8 @@ def _class_poly_mod_n(
     d = 3 and d = 4 short-circuit to X and X - 1728 (j = 0 and j = 1728)
     over no primes. Everything else goes through shards at split primes and
     the modular CRT lift, one coefficient at a time, certified by the
-    shard of the search's next prime; it is built, or read from the cache,
-    like the others, and is not among the primes returned.
+    shard of the prime set's spare; it is built, or read from the cache,
+    with the others, and is not among the primes returned.
     """
     t0 = time.perf_counter()
     prime_set = None
@@ -156,9 +154,10 @@ def _class_poly_mod_n(
         poly = PolyModM(modulus=n, coeffs=(0 if disc.d == 3 else -1728 % n, 1))
         primes = ()
     else:
-        shards = build_shards(disc, prime_set.primes, jobs=jobs, cache_dir=cache_dir)
-        q = next_crt_prime(disc.d, max(cp.t for cp in prime_set.primes), gamma2=gamma2)
-        (spare,) = build_shards(disc, [q], jobs=jobs, cache_dir=cache_dir)
+        # the spare is the largest prime, so its shard comes last
+        *shards, spare = build_shards(
+            disc, prime_set.primes + (prime_set.spare,), jobs=jobs, cache_dir=cache_dir
+        )
         poly = lift_shards(shards, n, epsilon, gamma2=gamma2, spare=spare)
         primes = tuple(s.p for s in shards)
     timings["hilbert"] = time.perf_counter() - t0

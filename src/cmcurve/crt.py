@@ -26,9 +26,9 @@ from .errors import NotCoprime, PrecisionBudgetExceeded
 from .primegen import DEFAULT_EPSILON, check_epsilon
 
 _GUARD_BITS = 8
-# prime sets whose n-independent half is kept. In a seed-1 benchmark round
-# the 40 lift_h96 lifts share one set (39 hits), the 42 construct_warm ones
-# three (39 hits) and the 41 construct_cold ones use 41 (no hits).
+# prime sets whose n-independent half is kept. A seed-1 benchmark round has
+# 39 hits and 1 miss in lift_h96, 81 and 3 in construct_warm, 41 and 41 in
+# construct_cold: each construct lift is lifted again, to its spare prime.
 _PRIME_SET_CACHE_MAX = 4
 
 

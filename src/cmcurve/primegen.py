@@ -31,20 +31,22 @@ class CrtPrime:
 
 @dataclass(frozen=True)
 class PrimeSet:
+    """A search's primes, smallest first, and spare, the prime it takes next."""
+
     disc: Discriminant
     primes: tuple[CrtPrime, ...]
     log_product: float
     target_log: float
+    spare: CrtPrime
 
+    # observed size/magnitude ratios of the set; reported, never asserted
+    @property
+    def count_times_logd_over_logB(self) -> float:
+        return len(self.primes) * math.log(self.disc.d) / max(self.disc.log_B, 1e-9)
 
-@dataclass(frozen=True)
-class PrimeStats:
-    """Observed size/magnitude ratios of a prime set, for logging only."""
-
-    count: int
-    max_p: int
-    count_times_logd_over_logB: float
-    max_p_over_logB_sq: float
+    @property
+    def max_p_over_logB_sq(self) -> float:
+        return self.primes[-1].p / max(self.disc.log_B, 1e-9) ** 2
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -134,27 +136,6 @@ def find_crt_primes(
         primes=tuple(primes),
         log_product=log_product,
         target_log=target_log,
+        spare=next(found),
     )
 
-
-def next_crt_prime(d: int, t: int, *, gamma2: bool = False) -> CrtPrime:
-    """The prime that the search of find_crt_primes, with the same gamma2,
-    takes next after the one of trace t: past a prime set's largest t, the
-    first prime outside the set."""
-    return next(_split_primes(d, t + 2, gamma2))
-
-
-def prime_stats(prime_set: PrimeSet) -> PrimeStats:
-    """Size and magnitude ratios of the set; reported, never asserted."""
-    if not prime_set.primes:
-        raise ValueError("prime set is empty")
-    disc = prime_set.disc
-    count = len(prime_set.primes)
-    max_p = prime_set.primes[-1].p
-    log_b = max(disc.log_B, 1e-9)
-    return PrimeStats(
-        count=count,
-        max_p=max_p,
-        count_times_logd_over_logB=count * math.log(disc.d) / log_b,
-        max_p_over_logB_sq=max_p / log_b ** 2,
-    )

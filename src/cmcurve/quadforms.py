@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import NotFundamental
 
@@ -33,12 +33,13 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class Discriminant:
-    """A validated fundamental discriminant with derived quantities."""
+    """A validated fundamental discriminant, its forms and derived quantities."""
 
     D: int
     d: int
     h: int
     log_B: float
+    forms: tuple[QuadForm, ...]
 
 
 DiscLike = Union[int, Discriminant]
@@ -99,13 +100,13 @@ def class_number(disc: DiscLike) -> int:
     return len(reduced_forms(disc))
 
 
-def sum_inverse_a(disc: DiscLike, forms: list[QuadForm] | None = None) -> Fraction:
-    """Exact sum of 1/a over the reduced forms, enumerated unless given."""
-    forms = reduced_forms(disc) if forms is None else forms
+def sum_inverse_a(disc: DiscLike) -> Fraction:
+    """Exact sum of 1/a over the reduced forms, a Discriminant's own forms."""
+    forms = disc.forms if isinstance(disc, Discriminant) else reduced_forms(disc)
     return sum((Fraction(1, f.a) for f in forms), Fraction(0))
 
 
-def _log_bound(d: int, forms: list[QuadForm]) -> float:
+def _log_bound(d: int, forms: Sequence[QuadForm]) -> float:
     h = len(forms)
     inv_sum = math.fsum(1 / f.a for f in forms)
     return math.log(math.comb(h, h // 2)) + math.pi * math.sqrt(d) * inv_sum
@@ -122,14 +123,9 @@ def coefficient_bound_log(disc: DiscLike) -> float:
     return _log_bound(-D, reduced_forms(D))
 
 
-def discriminant_and_forms(D: int) -> tuple[Discriminant, list[QuadForm]]:
-    """discriminant(D) and the reduced forms, from one enumeration."""
+def discriminant(D: int) -> Discriminant:
+    """Validate D and package it with d, h, log B and the reduced forms."""
     if not is_fundamental(D):
         raise NotFundamental(f"{D} is not a fundamental discriminant")
-    forms = reduced_forms(D)
-    return Discriminant(D=D, d=-D, h=len(forms), log_B=_log_bound(-D, forms)), forms
-
-
-def discriminant(D: int) -> Discriminant:
-    """Validate D and package it with d, the class number and log B."""
-    return discriminant_and_forms(D)[0]
+    forms = tuple(reduced_forms(D))
+    return Discriminant(D=D, d=-D, h=len(forms), log_B=_log_bound(-D, forms), forms=forms)

@@ -217,7 +217,7 @@ def test_build_shards_refuses_jobs_below_one_on_a_cached_shard(tmp_path):
 
 def test_wrong_count_aborts():
     # class number forced wrong: the scan still finds 3 roots, not 4
-    fake = Discriminant(D=-59, d=59, h=4, log_B=41.3)
+    fake = Discriminant(D=-59, d=59, h=4, log_B=41.3, forms=())
     with pytest.raises(WrongCount):
         find_j_invariants(fake, CrtPrime(17, 3))
 

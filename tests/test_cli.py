@@ -119,6 +119,39 @@ def test_lift_from_shard_directory(tmp_path):
     ]
 
 
+def test_lift_refuses_shards_below_the_bound(tmp_path, capsys):
+    # construct caches only the gamma_2 primes 17, 71, 197, 521 and the
+    # spare 827: their product is far below H_D's bound, and a lift over
+    # them is not H_D, in either mode
+    code, _ = run_cli("construct", "-n", "141767", "-N", "142521", "--cache", str(tmp_path))
+    assert code == 0
+    assert sorted(f.name for f in (tmp_path / "D59").iterdir()) == [
+        "p17.json", "p197.json", "p521.json", "p71.json", "p827.json",
+    ]
+    for mode in (["-n", "141767"], ["--integer"]):
+        code, out = run_cli("lift", "--shards", str(tmp_path / "D59"), *mode)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "ValueError: shards reach log M = 25.3527, below the bound 42.0121" in err
+
+
+def test_readme_cli_block_runs_as_written(tmp_path):
+    readme = (Path(SRC).parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    example = readme.split("$ cmcurve construct -n 141767 -N 142521 --json\n", 1)[1]
+    expected = json.loads("".join(example.split("```", 1)[0].split()))
+    env = {k: v for k, v in os.environ.items() if k != "CM_CACHE_DIR"}
+    env["PYTHONPATH"] = SRC
+    script = f'set -e\ncmcurve() {{ "{sys.executable}" -m cmcurve "$@"; }}\n{block}'
+    run = subprocess.run(
+        ["bash", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "coeffs: 48400 73152 31177 1" in lines
+    assert json.loads(next(line for line in lines if line.startswith('{"n"'))) == expected
+
+
 def test_lift_requires_n_or_integer(tmp_path):
     run_cli("hdmodp", "-D", "-59", "-p", "17", "--cache", str(tmp_path))
     code, _ = run_cli("lift", "--shards", str(tmp_path / "D59"))

@@ -44,7 +44,7 @@ from cmcurve.errors import (
 )
 from cmcurve.classpoly import build_shards, gamma2_poly
 from cmcurve.crt import crt_integer
-from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes, next_crt_prime
+from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes
 from cmcurve.quadforms import discriminant, is_fundamental
 
 N59 = 141767
@@ -572,9 +572,11 @@ def _cert_shards(D, gamma2, cache):
 
 
 def _cert_spare(D, gamma2, shards, cache):
-    # the shard of the prime that the search takes next past the shards
+    # the shard of the prime that the search takes next past the shards: the
+    # spare of a search whose target lies just below their product
     disc = discriminant(D)
-    q = next_crt_prime(disc.d, max(s.t for s in shards), gamma2=gamma2)
+    target = math.fsum(math.log(s.p) for s in shards) - 1
+    q = find_crt_primes(disc, target, gamma2=gamma2).spare
     return build_shards(disc, [q], cache_dir=cache)[0]
 
 
@@ -606,7 +608,7 @@ def test_certificate_builds_the_next_shard_of_the_search(cert_cache, monkeypatch
     hilbert_mod_n(discriminant(-59), CERT_N)
     result = construct_curve(141767, 142521, cache_dir=cert_cache)
     assert asked == [
-        [17, 71, 197, 521, 827, 1907, 3797, 5417], [5867], [17, 71, 197, 521], [827]
+        [17, 71, 197, 521, 827, 1907, 3797, 5417, 5867], [17, 71, 197, 521, 827]
     ]
     assert result.primes_used == (17, 71, 197, 521)  # the spare is not among them
 

@@ -16,7 +16,7 @@ import pytest
 
 from cmcurve.classpoly import build_shards
 from cmcurve.cm import find_all_roots, lift_shards
-from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes, next_crt_prime
+from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes
 from cmcurve.quadforms import discriminant
 
 pytestmark = pytest.mark.skipif(
@@ -31,22 +31,22 @@ def test_certified_j_and_gamma2_lifts_agree_at_n():
     jobs = int(os.environ.get("CMCURVE_JOBS", os.cpu_count() or 1))
     cache = os.environ.get("CM_CACHE_DIR")
     disc = discriminant(-832603)
-    j_primes = find_crt_primes(disc).primes
-    g_primes = find_crt_primes(disc, gamma2=True).primes
+    j_set = find_crt_primes(disc)
+    g_set = find_crt_primes(disc, gamma2=True)
+    j_primes, g_primes = j_set.primes, g_set.primes
     assert (len(j_primes), j_primes[-1].p) == (410, 1434707)
     assert (len(g_primes), g_primes[-1].p) == (146, 539351)
     assert set(g_primes) <= set(j_primes)
 
-    def spare(primes, gamma2):
-        q = next_crt_prime(disc.d, primes[-1].t, gamma2=gamma2)
-        return build_shards(disc, [q], jobs=jobs, cache_dir=cache)[0]
+    def spare(prime_set):
+        return build_shards(disc, [prime_set.spare], jobs=jobs, cache_dir=cache)[0]
 
     shards = build_shards(disc, j_primes, jobs=jobs, cache_dir=cache)
-    H = lift_shards(shards, N, DEFAULT_EPSILON, spare=spare(j_primes, False))
+    H = lift_shards(shards, N, DEFAULT_EPSILON, spare=spare(j_set))
     g_shards = [s for s in shards if s.p % 3 == 2 and s.p <= g_primes[-1].p]
     assert [s.p for s in g_shards] == [cp.p for cp in g_primes]
     G = lift_shards(
-        g_shards, N, DEFAULT_EPSILON, gamma2=True, spare=spare(g_primes, True)
+        g_shards, N, DEFAULT_EPSILON, gamma2=True, spare=spare(g_set)
     )
     h_roots = find_all_roots(H, N)
     assert len(h_roots) == 96

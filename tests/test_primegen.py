@@ -6,13 +6,7 @@ import pytest
 from cmcurve.arith import is_prime
 from cmcurve import primegen
 from cmcurve.errors import NoPrimesPossible, SearchLimitExceeded
-from cmcurve.primegen import (
-    CrtPrime,
-    default_target_log,
-    find_crt_primes,
-    next_crt_prime,
-    prime_stats,
-)
+from cmcurve.primegen import CrtPrime, default_target_log, find_crt_primes
 from cmcurve.quadforms import discriminant, is_fundamental
 
 D59_PRIMES = [17, 71, 197, 521, 827, 1907, 3797, 5417]
@@ -58,7 +52,6 @@ def test_no_primes_when_d_is_7_mod_8():
 def test_zero_target_still_emits_one_prime():
     ps = find_crt_primes(discriminant(-59), target_log=0.0)
     assert [cp.p for cp in ps.primes] == [17]
-    assert prime_stats(ps).count == 1
 
 
 def test_determinism():
@@ -83,13 +76,13 @@ def test_default_target_matches_threshold_formula():
 
 def test_prime_stats_report():
     disc = discriminant(-59)
-    stats = prime_stats(find_crt_primes(disc))
-    assert stats.count == 8
-    assert stats.max_p == 5417
-    assert stats.count_times_logd_over_logB == pytest.approx(
+    ps = find_crt_primes(disc)
+    assert len(ps.primes) == 8
+    assert ps.primes[-1].p == 5417
+    assert ps.count_times_logd_over_logB == pytest.approx(
         8 * math.log(59) / disc.log_B
     )
-    assert stats.max_p_over_logB_sq == pytest.approx(5417 / disc.log_B ** 2)
+    assert ps.max_p_over_logB_sq == pytest.approx(5417 / disc.log_B ** 2)
 
 
 def test_primes_avoid_tiny_and_ramified():
@@ -206,7 +199,7 @@ def test_gamma2_search_refuses_3_dividing_d():
         find_crt_primes(discriminant(-51), gamma2=True)
 
 
-def test_next_crt_prime_continues_either_search():
-    assert next_crt_prime(59, 147) == CrtPrime(5867, 153)
-    assert next_crt_prime(59, 45, gamma2=True) == CrtPrime(827, 57)
-    assert next_crt_prime(832603, 2215) == CrtPrime(1436923, 2217)
+def test_spare_continues_either_search():
+    assert find_crt_primes(discriminant(-59)).spare == CrtPrime(5867, 153)
+    assert find_crt_primes(discriminant(-59), gamma2=True).spare == CrtPrime(827, 57)
+    assert find_crt_primes(discriminant(-832603)).spare == CrtPrime(1436923, 2217)
