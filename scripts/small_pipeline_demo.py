@@ -51,14 +51,14 @@ def main() -> None:
     ]
     print(f"\ninteger class polynomial coefficients (low to high): {ints} + [1]")
 
-    lifted = lift_shards(shards, n, 0.001)
+    lifted = lift_shards(shards, n)
     print(f"coefficients mod {n}: {list(lifted.coeffs)}")
 
     if disc.d % 3 and disc.d > 4:
         g_set = find_crt_primes(disc, gamma2=True)
         g_shards = build_shards(disc, g_set.primes)
         spare = build_shard(disc, g_set.spare)
-        g_lifted = lift_shards(g_shards, n, 0.001, gamma2=True, spare=spare)
+        g_lifted = lift_shards(g_shards, n, gamma2=True, spare=spare)
         print(f"\ngamma_2 primes {[s.p for s in g_shards]}: G_D mod {n} = "
               f"{list(g_lifted.coeffs)} (certified), as construct lifts it")
 

@@ -75,11 +75,14 @@ def legendre(a: int, p: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def smallest_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue mod an odd prime p, cached per p."""
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    return z
+    """Smallest quadratic non-residue mod an odd prime p, cached per p.
+
+    Raises ValueError when no z < p has Jacobi symbol -1, as for p = 9.
+    """
+    for z in range(2, p):
+        if legendre(z, p) == -1:
+            return z
+    raise ValueError(f"no quadratic non-residue mod {p}: {p} is not an odd prime")
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,7 +100,8 @@ def sqrt_mod_p(a: int, p: int) -> int:
     """Square root of a modulo an odd prime p, canonical smaller root.
 
     Uses the direct exponentiation for p = 3 (mod 4) and Tonelli-Shanks
-    otherwise. Raises NotASquare when (a/p) = -1.
+    otherwise. Raises NotASquare when (a/p) = -1, and ValueError when the
+    non-residue search or the Tonelli-Shanks loop shows p composite.
     """
     a %= p
     if a == 0:
@@ -115,6 +119,8 @@ def sqrt_mod_p(a: int, p: int) -> int:
     while t != 1:
         t2, i = t * t % p, 1
         while t2 != 1:
+            if i == m:  # t^(2^m) = 1 for every prime p
+                raise ValueError(f"{p} is not an odd prime")
             t2 = t2 * t2 % p
             i += 1
         if i == m:  # t of order 2^m: only a non-residue a gets here

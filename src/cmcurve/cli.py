@@ -64,7 +64,7 @@ def _cmd_forms(args, out) -> int:
 
 def _cmd_primes(args, out) -> int:
     disc = quadforms.discriminant(args.D)
-    ps = primegen.find_crt_primes(disc, epsilon=args.epsilon)
+    ps = primegen.find_crt_primes(disc)
     doc = {
         "D": str(disc.D),
         "count": str(len(ps.primes)),
@@ -118,7 +118,7 @@ def _cmd_lift(args, out) -> int:
     shards = _load_shard_dir(Path(args.shards))
     h = shards[0].h
     log_m = math.fsum(math.log(s.p) for s in shards)
-    bound = primegen.default_target_log(quadforms.discriminant(shards[0].D), args.epsilon)
+    bound = primegen.default_target_log(quadforms.discriminant(shards[0].D))
     if log_m < bound:  # the lift would be some other polynomial, in either mode
         raise ValueError(f"shards reach log M = {log_m:.4f}, below the bound {bound:.4f}")
     if args.integer:
@@ -133,7 +133,7 @@ def _cmd_lift(args, out) -> int:
             "coeffs_signed": [str(v) for v in ints] + ["1"],
         }
     else:
-        poly = cm.lift_shards(shards, args.n, args.epsilon)
+        poly = cm.lift_shards(shards, args.n)
         doc = {
             "D": str(shards[0].D),
             "n": str(args.n),
@@ -165,12 +165,7 @@ def _cmd_count(args, out) -> int:
 
 def _cmd_construct(args, out) -> int:
     result = cm.construct_curve(
-        args.n,
-        args.N,
-        epsilon=args.epsilon,
-        jobs=args.jobs,
-        seed=args.seed,
-        cache_dir=_cache_dir(args),
+        args.n, args.N, jobs=args.jobs, seed=args.seed, cache_dir=_cache_dir(args)
     )
     doc = {
         "n": str(args.n),
@@ -204,9 +199,7 @@ def _cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sub, *, epsilon=False, jobs=False, seed=False, cache=False):
-    if epsilon:
-        sub.add_argument("--epsilon", type=float, default=primegen.DEFAULT_EPSILON)
+def _add_common(sub, *, jobs=False, seed=False, cache=False):
     if jobs:
         sub.add_argument("--jobs", type=int, default=1)
     if seed:
@@ -230,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("primes", help="split primes 4p = t^2 + d")
     s.add_argument("-D", type=int, required=True)
-    _add_common(s, epsilon=True)
+    _add_common(s)
     s.set_defaults(func=_cmd_primes)
 
     s = subs.add_parser("hdmodp", help="class polynomial shard at one prime")
@@ -244,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-n", type=int)
     s.add_argument("--integer", action="store_true",
                    help="reconstruct signed integer coefficients instead")
-    _add_common(s, epsilon=True)
+    _add_common(s)
     s.set_defaults(func=_cmd_lift)
 
     s = subs.add_parser("count", help="point count for the curve with a given j")
@@ -258,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-n", type=int, required=True)
     s.add_argument("-N", type=int, required=True)
     s.add_argument("--timings", action="store_true")
-    _add_common(s, epsilon=True, jobs=True, seed=True, cache=True)
+    _add_common(s, jobs=True, seed=True, cache=True)
     s.set_defaults(func=_cmd_construct)
 
     s = subs.add_parser("verify", help="check a curve has the claimed order")

@@ -44,7 +44,7 @@ from .errors import (
     ZeroTrace,
 )
 from .poly import PolyModM, find_all_roots
-from .primegen import DEFAULT_EPSILON, check_epsilon, find_crt_primes
+from .primegen import find_crt_primes
 from .quadforms import Discriminant, discriminant
 
 _VERIFY_SAMPLES = 16  # random points checked above NAIVE_COUNT_CAP
@@ -87,7 +87,7 @@ def derive_cm_params(n: int, N: int) -> CmParams:
 
 
 def lift_shards(
-    shards, n: int, epsilon: float, *, gamma2: bool = False, spare: Shard | None = None
+    shards, n: int, *, gamma2: bool = False, spare: Shard | None = None
 ) -> PolyModM:
     """The monic polynomial mod n whose reductions are the given shards.
 
@@ -105,19 +105,19 @@ def lift_shards(
     reduction = gamma2_poly if gamma2 else (lambda s: s.poly)
     polys = [reduction(s) for s in shards]
     moduli = [s.p for s in shards]
-    lifted = _lift_polys(moduli, polys, n, epsilon)
+    lifted = _lift_polys(moduli, polys, n)
     if spare is not None:
         if spare.p in moduli:
             raise ValueError(f"spare prime {spare.p} is a basis prime")
-        if _lift_polys(moduli, polys, spare.p, epsilon) != reduction(spare):
+        if _lift_polys(moduli, polys, spare.p) != reduction(spare):
             raise CertificateFailed(
                 f"lift over {len(moduli)} primes disagrees with the shard at q = {spare.p}"
             )
     return lifted
 
 
-def _lift_polys(moduli, polys, n: int, epsilon: float) -> PolyModM:
-    basis = build_basis(moduli, n, epsilon)
+def _lift_polys(moduli, polys, n: int) -> PolyModM:
+    basis = build_basis(moduli, n)
     coeffs = [
         crt_mod_n(basis, [f.coeffs[i] for f in polys])
         for i in range(polys[0].degree)
@@ -127,12 +127,11 @@ def _lift_polys(moduli, polys, n: int, epsilon: float) -> PolyModM:
 
 def hilbert_mod_n(disc: Discriminant, n: int) -> PolyModM:
     """The class polynomial for disc reduced mod n, degree h, monic."""
-    return _class_poly_mod_n(disc, n, False, DEFAULT_EPSILON, 1, None, {})[0]
+    return _class_poly_mod_n(disc, n, False, 1, None, {})[0]
 
 
 def _class_poly_mod_n(
-    disc: Discriminant, n: int, gamma2: bool, epsilon: float, jobs: int, cache_dir,
-    timings: dict,
+    disc: Discriminant, n: int, gamma2: bool, jobs: int, cache_dir, timings: dict
 ) -> tuple[PolyModM, tuple[int, ...]]:
     """The class polynomial of j, or with gamma2 of gamma_2, mod n, and the
     primes of its shards; timings gets the "primes" and "hilbert" stages.
@@ -146,7 +145,7 @@ def _class_poly_mod_n(
     t0 = time.perf_counter()
     prime_set = None
     if disc.d > 4:
-        prime_set = find_crt_primes(disc, epsilon=epsilon, gamma2=gamma2)
+        prime_set = find_crt_primes(disc, gamma2=gamma2)
     timings["primes"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -158,7 +157,7 @@ def _class_poly_mod_n(
         *shards, spare = build_shards(
             disc, prime_set.primes + (prime_set.spare,), jobs=jobs, cache_dir=cache_dir
         )
-        poly = lift_shards(shards, n, epsilon, gamma2=gamma2, spare=spare)
+        poly = lift_shards(shards, n, gamma2=gamma2, spare=spare)
         primes = tuple(s.p for s in shards)
     timings["hilbert"] = time.perf_counter() - t0
     return poly, primes
@@ -242,7 +241,6 @@ def construct_curve(
     n: int,
     N: int,
     *,
-    epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
     seed=0,
     cache_dir=None,
@@ -260,7 +258,6 @@ def construct_curve(
     N' = 2n + 2 - N points, and verify_order decides at its first point
     that tells them apart, which gives the same answer as 16 points.
     """
-    check_epsilon(epsilon)
     check_jobs(jobs)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -269,9 +266,7 @@ def construct_curve(
     timings["derive"] = time.perf_counter() - t0
 
     gamma2 = disc.d > 4 and disc.d % 3 != 0
-    poly, primes_used = _class_poly_mod_n(
-        disc, n, gamma2, epsilon, jobs, cache_dir, timings
-    )
+    poly, primes_used = _class_poly_mod_n(disc, n, gamma2, jobs, cache_dir, timings)
 
     t0 = time.perf_counter()
     power = 3 if gamma2 else 1

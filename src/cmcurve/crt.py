@@ -4,10 +4,13 @@ crt_mod_n recovers x mod n from residues of a signed integer x with
 |x| < (1/2 - epsilon) * M, M the product of the moduli, without ever
 materialising x: the rounded quotient r = floor(z/M + 1/2) is estimated in
 low-precision fixed point, which is enough because z/M + 1/2 is
-guaranteed to stay at least epsilon away from every integer. The basis
-half that depends only on the moduli is memoised per prime set, the half
-that depends on n comes from products mod n, and each lift is then two
-dot products: nothing of the size of M is formed per n or coefficient.
+guaranteed to stay at least epsilon away from every integer. The margin
+epsilon is the constant DEFAULT_EPSILON = 0.001, which the prime search
+(primegen.default_target_log) also reads; only build_basis takes another
+value in (0, 1/2). The basis half that depends only on the moduli is
+memoised per prime set, the half that depends on n comes from products
+mod n, and each lift is then two dot products: nothing of the size of M
+is formed per n or coefficient.
 
 crt_integer is the classic reconstruction that does materialise the
 integer; it serves as the independent oracle for the modular route.
@@ -22,9 +25,9 @@ from itertools import accumulate
 from operator import lt, mul
 from typing import Sequence
 
-from .errors import NotCoprime, PrecisionBudgetExceeded
-from .primegen import DEFAULT_EPSILON, check_epsilon
+from .errors import NotCoprime
 
+DEFAULT_EPSILON = 0.001
 _GUARD_BITS = 8
 # prime sets whose n-independent half is kept. A seed-1 benchmark round has
 # 39 hits and 1 miss in lift_h96, 81 and 3 in construct_warm, 41 and 41 in
@@ -63,7 +66,8 @@ def _prime_set(moduli: tuple[int, ...], epsilon: float):
         raise ValueError("at least one modulus required")
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
-    check_epsilon(epsilon)
+    if not 0 < epsilon < 0.5:
+        raise ValueError("epsilon must be in (0, 1/2)")
     ell = len(moduli)
     M = math.prod(moduli)
     inverses = []
@@ -74,10 +78,6 @@ def _prime_set(moduli: tuple[int, ...], epsilon: float):
             _check_coprime(moduli)  # raises, naming the two moduli
             raise
     s = max(0, math.ceil(math.log2(ell / epsilon))) + _GUARD_BITS
-    if ell >= epsilon * (1 << s):
-        raise PrecisionBudgetExceeded(
-            f"{ell} terms at {s} fractional bits exceed epsilon = {epsilon}"
-        )
     shift = s + max(moduli).bit_length()
     reciprocals = tuple((a << shift) // m for a, m in zip(inverses, moduli))
     return tuple(inverses), shift, reciprocals

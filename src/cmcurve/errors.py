@@ -54,10 +54,6 @@ class NotCoprime(DomainError):
     """Two CRT moduli share a common factor."""
 
 
-class PrecisionBudgetExceeded(DomainError):
-    """Fixed-point error budget would exceed epsilon (internal assertion)."""
-
-
 class CertificateFailed(DomainError):
     """A CRT lift disagreed with the shard of a spare prime outside its
     basis: a residue is wrong, or a coefficient is not below

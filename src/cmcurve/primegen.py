@@ -3,9 +3,11 @@
 Each such prime splits into principal ideals in Q(sqrt(-d)), which is what
 makes the per-prime class polynomial recoverable from point counts alone.
 The search walks t upward with the parity forced by 4 | t^2 + d and stops
-once the product of the primes found exceeds the requested target. The
-search for the gamma_2 class polynomial keeps only the p = 2 (mod 3), to a
-target of a third of the height.
+once the product of the primes found exceeds the requested target, by
+default the bound M = B / (1/2 - epsilon) of the modular CRT, with
+crt.DEFAULT_EPSILON as epsilon. The search for the gamma_2 class
+polynomial keeps only the p = 2 (mod 3), to a target of a third of the
+height.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .arith import is_prime
+from .crt import DEFAULT_EPSILON
 from .errors import NoPrimesPossible, SearchLimitExceeded
 from .quadforms import Discriminant
 
-DEFAULT_EPSILON = 0.001
 _LOG_GUARD = 2.0 ** -30  # makes "product strictly exceeds target" robust
 
 
@@ -49,27 +51,19 @@ class PrimeSet:
         return self.primes[-1].p / max(self.disc.log_B, 1e-9) ** 2
 
 
-def check_epsilon(epsilon: float) -> None:
-    """The CRT rounding margin must lie in (0, 1/2)."""
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 1/2)")
-
-
-def default_target_log(
-    disc: Discriminant, epsilon: float = DEFAULT_EPSILON, *, gamma2: bool = False
-) -> float:
-    """log of the reconstruction threshold M = B / (1/2 - epsilon).
+def default_target_log(disc: Discriminant, *, gamma2: bool = False) -> float:
+    """log of the reconstruction threshold M = B / (1/2 - epsilon), epsilon
+    the CRT margin crt.DEFAULT_EPSILON.
 
     With gamma2 the bound is the one of the gamma_2 = j^(1/3) class
     polynomial: |gamma_2| = |j|^(1/3), so the exponential part of log B is
     divided by 3 and the binomial factor C(h, floor(h/2)) is kept.
     """
-    check_epsilon(epsilon)
     log_b = disc.log_B
     if gamma2:
         log_c = math.log(math.comb(disc.h, disc.h // 2))
         log_b = log_c + (log_b - log_c) / 3
-    return log_b - math.log(0.5 - epsilon)
+    return log_b - math.log(0.5 - DEFAULT_EPSILON)
 
 
 def _trace_cap(target_log: float) -> int:
@@ -91,11 +85,7 @@ def _split_primes(d: int, t: int, gamma2: bool, cap: int | None = None):
 
 
 def find_crt_primes(
-    disc: Discriminant,
-    target_log: float | None = None,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    gamma2: bool = False,
+    disc: Discriminant, target_log: float | None = None, *, gamma2: bool = False
 ) -> PrimeSet:
     """Smallest-first primes of the form (t^2 + d)/4 whose product exceeds
     exp(target_log).
@@ -120,7 +110,7 @@ def find_crt_primes(
     if gamma2 and d % 3 == 0:
         raise ValueError(f"gamma_2 is no class invariant for 3 | d = {d}")
     if target_log is None:
-        target_log = default_target_log(disc, epsilon, gamma2=gamma2)
+        target_log = default_target_log(disc, gamma2=gamma2)
     if target_log < 0:
         raise ValueError("target_log must be nonnegative")
     primes: list[CrtPrime] = []

@@ -127,6 +127,15 @@ def test_sqrt_mod_p_every_residue_for_p_1_mod_4():
                     sqrt_mod_p(a, p)
 
 
+@pytest.mark.parametrize("a, m", [(2, 9), (2, 25), (7, 21)])
+def test_sqrt_mod_p_refuses_a_composite_modulus(a, m):
+    # 9 and 25 have no z with Jacobi symbol -1, so the search for a
+    # non-residue must stop at m; at 21 the Tonelli-Shanks squarings never
+    # reach 1, so they must stop after m of them
+    with pytest.raises(ValueError, match=f"{m} is not an odd prime"):
+        sqrt_mod_p(a, m)
+
+
 def test_smallest_nonresidue_brute_force():
     for p in (3, 5, 7, 17, 41, 71, 73, 191, 311, 409, 1009, 3361):
         squares = {y * y % p for y in range(1, p)}

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,8 +42,8 @@ from cmcurve.errors import (
     ZeroTrace,
 )
 from cmcurve.classpoly import build_shards, gamma2_poly
-from cmcurve.crt import crt_integer
-from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes
+from cmcurve.crt import DEFAULT_EPSILON, crt_integer
+from cmcurve.primegen import find_crt_primes
 from cmcurve.quadforms import discriminant, is_fundamental
 
 N59 = 141767
@@ -183,13 +182,6 @@ def test_construct_curve_special_j_force_j(n, N, j):
     assert forced.j == j % n
     with pytest.raises(ValueError):
         construct_curve(n, N, force_j=1)
-
-
-@pytest.mark.parametrize("n, N, epsilon", [(7, 3, 5.0), (5, 2, 0.5)], ids=["d3", "d4"])
-def test_construct_curve_checks_epsilon_for_every_d(n, N, epsilon):
-    # d <= 4 takes no prime search, which is not where the check may live
-    with pytest.raises(ValueError, match=re.escape("epsilon must be in (0, 1/2)")):
-        construct_curve(n, N, epsilon=epsilon)
 
 
 @pytest.mark.parametrize(
@@ -521,7 +513,7 @@ G59_MOD_N = (12061, 68608, 3136, 1)  # G_-59 = X^3 + 3136X^2 + 68608X + 720896
 def test_gamma2_lift_d59_and_its_root_cubes_to_j():
     disc = discriminant(-59)
     shards = build_shards(disc, find_crt_primes(disc, gamma2=True).primes)
-    G = lift_shards(shards, N59, DEFAULT_EPSILON, gamma2=True)
+    G = lift_shards(shards, N59, gamma2=True)
     assert G.coeffs == G59_MOD_N
     # 141767 = 2 (mod 3): cubing permutes F_n, and the roots cube to H's
     roots = find_all_roots(G, N59)
@@ -588,9 +580,9 @@ def _bumped(f):
 @pytest.mark.parametrize("D", CERT_D)
 def test_certified_lift_equals_the_plain_lift(D, gamma2, cert_cache):
     shards = _cert_shards(D, gamma2, cert_cache)
-    plain = lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2)
+    plain = lift_shards(shards, CERT_N, gamma2=gamma2)
     spare = _cert_spare(D, gamma2, shards, cert_cache)
-    certified = lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, spare=spare)
+    certified = lift_shards(shards, CERT_N, gamma2=gamma2, spare=spare)
     assert certified == plain
 
 
@@ -617,7 +609,7 @@ def test_certificate_refuses_a_spare_from_the_basis(cert_cache):
     # a lift to a basis prime returns that prime's residue: no check at all
     shards = _cert_shards(-59, True, cert_cache)
     with pytest.raises(ValueError, match="spare prime 71 is a basis prime"):
-        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=True, spare=shards[1])
+        lift_shards(shards, CERT_N, gamma2=True, spare=shards[1])
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
@@ -632,9 +624,9 @@ def test_certificate_rejects_a_residue_off_by_one(gamma2, cert_cache, monkeypatc
         )
     else:
         shards[1] = dataclasses.replace(shards[1], poly=_bumped(shards[1].poly))
-    lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
+    lift_shards(shards, CERT_N, gamma2=gamma2)  # goes unnoticed
     with pytest.raises(CertificateFailed):
-        lift_shards(shards, CERT_N, DEFAULT_EPSILON, gamma2=gamma2, spare=spare)
+        lift_shards(shards, CERT_N, gamma2=gamma2, spare=spare)
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
@@ -651,9 +643,9 @@ def test_certificate_rejects_a_basis_cut_below_a_coefficient(gamma2, cert_cache)
         if (0.5 - DEFAULT_EPSILON) * math.prod(moduli[:k]) < top
     )
     spare = _cert_spare(-59, gamma2, shards[:k], cert_cache)
-    lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2)  # goes unnoticed
+    lift_shards(shards[:k], CERT_N, gamma2=gamma2)  # goes unnoticed
     with pytest.raises(CertificateFailed):
-        lift_shards(shards[:k], CERT_N, DEFAULT_EPSILON, gamma2=gamma2, spare=spare)
+        lift_shards(shards[:k], CERT_N, gamma2=gamma2, spare=spare)
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,12 @@ def test_build_basis_example():
 def test_build_basis_single_modulus():
     basis = build_basis([7], 11)
     assert basis.weights == (1,)
+
+
+@pytest.mark.parametrize("epsilon", [0, 0.5, -1, math.nan], ids=["0", "half", "-1", "nan"])
+def test_build_basis_refuses_epsilon_outside_the_open_interval(epsilon):
+    with pytest.raises(ValueError, match=re.escape("epsilon must be in (0, 1/2)")):
+        build_basis(D59_MODULI, N59, epsilon)
 
 
 def test_build_basis_rejects_shared_factor():

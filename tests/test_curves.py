@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmcurve import curves
 from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.curves import (
     EXHAUSTIVE_COUNT_MAX,
@@ -383,6 +384,20 @@ def test_random_point_seeded_is_deterministic():
     E = curve_from_j(7, 65537)
     pts = [random_point(E, task_rng(9, i)) for i in range(3)]
     assert pts == [(58888, 29856), (45164, 19262), (18246, 25762)]
+
+
+def test_jacobi_pretest_draws_the_same_points(monkeypatch):
+    p = 2 ** 256 - 189
+    assert is_prime(p) and p.bit_length() >= curves.PRETEST_MIN_BITS
+    E = curve_from_j(7, p)
+
+    def draws():
+        rng = task_rng(9)
+        return [random_point(E, rng) for _ in range(16)], rng.getstate()
+
+    pretested = draws()
+    monkeypatch.setattr(curves, "PRETEST_MIN_BITS", p.bit_length() + 1)
+    assert draws() == pretested
 
 
 def test_random_point_tiny_curve_hits_known_points():

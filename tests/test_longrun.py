@@ -16,7 +16,7 @@ import pytest
 
 from cmcurve.classpoly import build_shards
 from cmcurve.cm import find_all_roots, lift_shards
-from cmcurve.primegen import DEFAULT_EPSILON, find_crt_primes
+from cmcurve.primegen import find_crt_primes
 from cmcurve.quadforms import discriminant
 
 pytestmark = pytest.mark.skipif(
@@ -42,12 +42,10 @@ def test_certified_j_and_gamma2_lifts_agree_at_n():
         return build_shards(disc, [prime_set.spare], jobs=jobs, cache_dir=cache)[0]
 
     shards = build_shards(disc, j_primes, jobs=jobs, cache_dir=cache)
-    H = lift_shards(shards, N, DEFAULT_EPSILON, spare=spare(j_set))
+    H = lift_shards(shards, N, spare=spare(j_set))
     g_shards = [s for s in shards if s.p % 3 == 2 and s.p <= g_primes[-1].p]
     assert [s.p for s in g_shards] == [cp.p for cp in g_primes]
-    G = lift_shards(
-        g_shards, N, DEFAULT_EPSILON, gamma2=True, spare=spare(g_set)
-    )
+    G = lift_shards(g_shards, N, gamma2=True, spare=spare(g_set))
     h_roots = find_all_roots(H, N)
     assert len(h_roots) == 96
     assert sorted(pow(r, 3, N) for r in find_all_roots(G, N)) == h_roots

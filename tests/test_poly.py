@@ -108,6 +108,12 @@ def test_find_all_roots_repeated_none_and_linear():
     assert find_all_roots(PolyModM(n, (9,)), n) == []
 
 
+def test_find_all_roots_refuses_a_composite_modulus():
+    # the quadratic formula's square root mod 21 must raise, not spin
+    with pytest.raises(ValueError, match="21 is not an odd prime"):
+        find_all_roots(poly_from_roots([1, 2, 4, 7], 21), 21)
+
+
 def test_degree_96_split_at_27_bits_returns_every_root():
     rng = random.Random(96)
     n = random_prime(27, rng)

@@ -67,11 +67,7 @@ def test_search_limit(monkeypatch):
 
 def test_default_target_matches_threshold_formula():
     disc = discriminant(-59)
-    assert default_target_log(disc, 0.001) == pytest.approx(
-        disc.log_B - math.log(0.499)
-    )
-    with pytest.raises(ValueError):
-        default_target_log(disc, 0.6)
+    assert default_target_log(disc) == pytest.approx(disc.log_B - math.log(0.499))
 
 
 def test_prime_stats_report():

@@ -37,10 +37,12 @@ GUARD_TESTS = [
     "tests/test_crt.py::test_crt_integer_refuses_in_order",
     "tests/test_cm.py::test_derive_cm_params_rejects_a_ramified_n",
     "tests/test_curves.py::test_scalar_mul_matches_repeated_addition_on_every_point",
-    "tests/test_cm.py::test_construct_curve_checks_epsilon_for_every_d",
     "tests/test_cm.py::test_construct_curve_checks_jobs_for_every_d",
     "tests/test_classpoly.py::test_find_j_invariants_refuses_jobs_below_one",
     "tests/test_classpoly.py::test_build_shards_refuses_jobs_below_one_on_a_cached_shard",
+    "tests/test_crt.py::test_build_basis_refuses_epsilon_outside_the_open_interval",
+    "tests/test_arith.py::test_sqrt_mod_p_refuses_a_composite_modulus",
+    "tests/test_poly.py::test_find_all_roots_refuses_a_composite_modulus",
 ]
 
 
@@ -54,6 +56,7 @@ def test_guard_tests_pass_under_python_O():
     # parametrized cases: 4 forged shards, 4 pinned log B values, 5 oracle
     # discriminants, 10 certified lifts, 2 of each certificate mutant, 1
     # spare refusal, 2 pairs for each construct_curve mutant and 4 primes
-    # of scalar multiplication on every point, then 2 epsilon and 2 jobs
-    # refusals of construct_curve and 2 of the shard scan
-    assert re.search(r"^56 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # of scalar multiplication on every point, then 2 jobs refusals of
+    # construct_curve, 2 of the shard scan, 4 epsilon refusals of
+    # build_basis and 4 composite moduli refused by the square root
+    assert re.search(r"^62 passed\b", proc.stdout, re.MULTILINE), proc.stdout
