@@ -12,7 +12,19 @@ each side with seed
 seeds[i % len(seeds)], the parent first in even pairs and the change first
 in odd ones, so a drift in machine speed hits both sides alike. The output
 gives, per workload and metric, each side's median and quartiles and the
-number of pairs the change won, with nproc and the Python version.
+number of pairs the change won, with nproc and the Python version, and a
+verdict by the rules of a simplicity review:
+
+    gain        the change won at least 9 of every 10 pairs, and its median
+                is better than the parent's by more than the parent's
+                interquartile range;
+    regressed   the change's median is worse than the parent's by more than
+                the metric's bound in BENCHMARK.json, a fraction of the
+                parent's median;
+    unresolved  neither, and the parent's interquartile range exceeds that
+                bound, unless every run of the change beats every run of the
+                parent: the runs spread too widely to tell;
+    unchanged   none of these.
 """
 
 from __future__ import annotations
@@ -38,23 +50,41 @@ def _spread(values) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better) -> dict:
+def compare(par, chg, better: str, bound: float) -> dict:
+    """One metric's summary over the pairs: each side's median and
+    quartiles, the pairs the change won and the verdict, as the module
+    docstring defines it. par and chg are the values pair by pair, better
+    is "lower" or "higher", and a win is a strictly better value."""
+    sign = 1 if better == "lower" else -1
+    parent, change = _spread(par), _spread(chg)
+    median, spread = parent["median"], parent["q3"] - parent["q1"]
+    wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+    if 10 * wins >= 9 * len(par) and sign * (median - change["median"]) > spread:
+        verdict = "gain"
+    elif sign * (change["median"] - median) > bound * median:
+        verdict = "regressed"
+    elif spread > bound * median and max(sign * c for c in chg) >= min(sign * p for p in par):
+        verdict = "unresolved"
+    else:
+        verdict = "unchanged"
+    return {"parent": parent, "change": change, "change_wins": wins, "verdict": verdict}
+
+
+def summarize(pairs, end_to_end) -> dict:
     """Per-metric summary of one workload's pairs.
 
     pairs is a list of (parent, change) results as perfbench/run.py prints
-    them; better maps each metric name to "lower" or "higher". A pair is a
-    win when the change's value is strictly better.
+    them; end_to_end lists the metrics as BENCHMARK.json does, each with
+    its name, better ("lower" or "higher") and bound.
     """
     metrics = {}
-    for name, direction in better.items():
-        par = [p["metrics"][name]["value"] for p, _ in pairs]
-        chg = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1 if direction == "lower" else -1
-        metrics[name] = {
-            "parent": _spread(par),
-            "change": _spread(chg),
-            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(par, chg)),
-        }
+    for m in end_to_end:
+        name = m["name"]
+        metrics[name] = compare(
+            [p["metrics"][name]["value"] for p, _ in pairs],
+            [c["metrics"][name]["value"] for _, c in pairs],
+            m["better"], m["bound"],
+        )
     return {
         "pairs": len(pairs),
         "correct": all(p["correct"] and c["correct"] for p, c in pairs),
@@ -110,7 +140,6 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, [w["name"] for w in spec["workloads"]])
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = export(args.parent, Path(tmp)), ROOT
         summary = {}
@@ -124,7 +153,7 @@ def main(argv=None) -> int:
                 walls = [got[t]["metrics"]["wall_s"]["value"] for t in (parent, change)]
                 print(f"{wl} pair {i} seed {seed}: wall_s parent {walls[0]:.3f}, "
                       f"change {walls[1]:.3f}", file=sys.stderr)
-            summary[wl] = summarize(pairs, better)
+            summary[wl] = summarize(pairs, spec["end_to_end"])
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                          check=True, capture_output=True, text=True).stdout.strip()
     doc = {

@@ -8,6 +8,7 @@ modular square roots and a keyed RNG.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 from .errors import NotASquare
@@ -101,16 +102,23 @@ def sqrt_mod_p(a: int, p: int) -> int:
 
     Uses the direct exponentiation for p = 3 (mod 4) and Tonelli-Shanks
     otherwise. Raises NotASquare when (a/p) = -1, and ValueError when the
-    non-residue search or the Tonelli-Shanks loop shows p composite.
+    exponentiation, the non-residue search or the Tonelli-Shanks loop
+    shows p composite.
     """
     a %= p
     if a == 0:
         return 0
     if p % 4 == 3:
         y = pow(a, (p + 1) // 4, p)
-        if y * y % p != a:
-            raise NotASquare(f"{a} is not a square mod {p}")
-        return min(y, p - y)
+        yy = y * y % p
+        if yy == a:
+            return min(y, p - y)
+        # y^2 = a^((p+1)/2) is -a for a non-residue mod a prime; for a
+        # composite p = 3 (mod 4) and a unit a it still proves a non-square,
+        # since a = x^2 would make x^(p-1) = -1 a square
+        if yy != p - a or math.gcd(a, p) > 1:
+            raise ValueError(f"{p} is not an odd prime")
+        raise NotASquare(f"{a} is not a square mod {p}")
     q, s, c = _tonelli_shanks_base(p)
     w = pow(a, (q - 1) // 2, p)
     y = a * w % p  # a^((q+1)/2)

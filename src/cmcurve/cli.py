@@ -103,12 +103,7 @@ def _load_shard_dir(path: Path) -> list[classpoly.Shard]:
     if not files:
         raise ValueError(f"no shard files under {path}")
     shards = [classpoly.load_shard(f) for f in files]
-    Ds = {s.D for s in shards}
-    if len(Ds) != 1:
-        raise ValueError(f"shard directory mixes discriminants: {sorted(Ds)}")
-    hs = {s.h for s in shards}
-    if len(hs) != 1:
-        raise ValueError("shard directory mixes degrees")
+    cm.check_shard_set(shards)
     return sorted(shards, key=lambda s: s.p)
 
 

@@ -91,10 +91,11 @@ def lift_shards(
 ) -> PolyModM:
     """The monic polynomial mod n whose reductions are the given shards.
 
-    The shards share one degree h; each of the h lower coefficients is
-    lifted by the modular CRT over the shard primes. With gamma2 the
-    reductions are the shards' gamma2_poly, which needs every p = 2 (mod 3),
-    and the result is the gamma_2 class polynomial mod n.
+    The shards must share one discriminant and one degree h
+    (check_shard_set); each of the h lower coefficients is lifted by the
+    modular CRT over the shard primes. With gamma2 the reductions are the
+    shards' gamma2_poly, which needs every p = 2 (mod 3), and the result
+    is the gamma_2 class polynomial mod n.
 
     A spare shard, at a prime q outside the basis, certifies the lift: the
     same residues lifted to q over the same moduli must give its reduction
@@ -102,6 +103,7 @@ def lift_shards(
     coefficient that is not below (1/2 - epsilon) M; a lift to a basis
     prime catches neither, as it returns that prime's residue.
     """
+    check_shard_set(shards)
     reduction = gamma2_poly if gamma2 else (lambda s: s.poly)
     polys = [reduction(s) for s in shards]
     moduli = [s.p for s in shards]
@@ -114,6 +116,17 @@ def lift_shards(
                 f"lift over {len(moduli)} primes disagrees with the shard at q = {spare.p}"
             )
     return lifted
+
+
+def check_shard_set(shards) -> None:
+    """Raise ValueError unless the shards share one discriminant and one
+    degree, as the reductions of one class polynomial do."""
+    Ds = {s.D for s in shards}
+    if len(Ds) > 1:
+        raise ValueError(f"shards mix discriminants: {sorted(Ds)}")
+    hs = {s.h for s in shards}
+    if len(hs) > 1:
+        raise ValueError(f"shards mix degrees: {sorted(hs)}")
 
 
 def _lift_polys(moduli, polys, n: int) -> PolyModM:
@@ -238,25 +251,19 @@ def _candidates(n: int, j: int, d: int):
 
 
 def construct_curve(
-    n: int,
-    N: int,
-    *,
-    jobs: int = 1,
-    seed=0,
-    cache_dir=None,
-    force_j: int | None = None,
+    n: int, N: int, *, jobs: int = 1, seed=0, cache_dir=None
 ) -> CurveResult:
     """A verified curve over F_n with exactly N points.
 
-    j is the smallest root of the class polynomial H_D mod n unless
-    force_j picks another. For d > 4 with 3 not dividing d, the lift is
-    that of G_D, the gamma_2 class polynomial, over the primes
-    p = 2 (mod 3); its roots cube to the roots of H_D (G_D(X) divides
-    H_D(X^3)), so j is the smallest cube of a root. The answer is the first
-    of _candidates that verify_order accepts with N points. The lift is
-    certified at a spare prime, so for d > 4 each candidate has N or
-    N' = 2n + 2 - N points, and verify_order decides at its first point
-    that tells them apart, which gives the same answer as 16 points.
+    j is the smallest root of the class polynomial H_D mod n. For d > 4
+    with 3 not dividing d, the lift is that of G_D, the gamma_2 class
+    polynomial, over the primes p = 2 (mod 3); its roots cube to the roots
+    of H_D (G_D(X) divides H_D(X^3)), so j is the smallest cube of a root.
+    The answer is the first of _candidates that verify_order accepts with
+    N points. The lift is certified at a spare prime, so for d > 4 each
+    candidate has N or N' = 2n + 2 - N points, and verify_order decides at
+    its first point that tells them apart, which gives the same answer as
+    16 points.
     """
     check_jobs(jobs)
     timings: dict[str, float] = {}
@@ -269,13 +276,7 @@ def construct_curve(
     poly, primes_used = _class_poly_mod_n(disc, n, gamma2, jobs, cache_dir, timings)
 
     t0 = time.perf_counter()
-    power = 3 if gamma2 else 1
-    if force_j is not None:
-        j = force_j % n
-        if all(pow(r, power, n) != j for r in find_all_roots(poly, n, seed)):
-            raise ValueError("force_j is not a root of the class polynomial")
-    else:
-        j = find_root_mod_n(poly, n, seed, power=power)
+    j = find_root_mod_n(poly, n, seed, power=3 if gamma2 else 1)
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

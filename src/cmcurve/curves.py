@@ -7,7 +7,8 @@ random.Random so runs are reproducible.
 
 Scalar multiplication runs in Jacobian coordinates with one inversion back
 to affine: over the binary digits of short scalars and over the width-4
-NAF of long ones, from NAF_MIN_BITS on, against a table of odd multiples.
+NAF of long ones, from NAF_MIN_BITS on, against a table of odd multiples
+built by affine additions.
 """
 
 from __future__ import annotations
@@ -100,17 +101,21 @@ def point_neg(E: CurveModP, P: Point) -> Point:
 
 
 def point_add(E: CurveModP, P: Point, Q: Point) -> Point:
+    return _add(E.p, E.a4, P, Q)
+
+
+def _add(p: int, a4: int, P: Point, Q: Point) -> Point:
+    """P + Q in affine coordinates, one inversion unless P or Q is O."""
     if P is None:
         return Q
     if Q is None:
         return P
-    p = E.p
     x1, y1 = P
     x2, y2 = Q
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + E.a4) * pow(2 * y1, -1, p) % p
+        lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
     else:
         lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
@@ -120,8 +125,10 @@ def point_add(E: CurveModP, P: Point, Q: Point) -> Point:
 # [m]P reads the width-4 NAF of m from this many bits on and its binary
 # digits below. Against the binary digits, per [m]P on a 2-core VM, the NAF
 # read 0.67x at 16-20 bits (the j-scan's order_filter), 1.0x at 56-72,
-# 1.12x at 80-88 and 1.2-1.25x at 256: its table costs 5 doublings, 4
-# additions and an inversion, and the additions fall from b/2 to b/5.
+# 1.12x at 80-88 and 1.2-1.25x at 256, its additions falling from b/2 to
+# b/5. Those runs built the table in Jacobian coordinates with one shared
+# inversion; its four affine steps cost about 15 us more at 256 bits and
+# 5 us less at 64, against some 1.7 ms for a 256-bit [m]P.
 NAF_MIN_BITS = 80
 _NAF_CACHE_MAX = 4  # verify_order needs two, N and 2|t|, for both branches
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # bin(m) text to digits
@@ -203,25 +210,15 @@ def _jacobian(p: int, a4: int, table, digits) -> tuple[int, int, int]:
 def _odd_multiples(p: int, a4: int, x: int, y: int) -> list:
     """The width-4 NAF table: entry d is [d](x, y) for d = +-1, +-3, +-5,
     +-7 (negative d at Python's negative indices), affine or None for O.
-    [3], [5] and [7] come from their binary digits and share one inversion
-    (Montgomery's trick)."""
-    base = (None, (x, y))
-    jac = [_jacobian(p, a4, base, bits) for bits in ((1, 1), (1, 0, 1), (1, 1, 1))]
-    prefix, acc = [], 1
-    for _, _, Z in jac:
-        prefix.append(acc)
-        if Z:
-            acc = acc * Z % p
-    inv = pow(acc, -1, p)
+    [3], [5] and [7] are [1] plus [2] once, twice and three times."""
     table = [None] * 16
-    table[1], table[-1] = (x, y), (x, -y % p)
-    for d, (X, Y, Z), before in zip((7, 5, 3), reversed(jac), reversed(prefix)):
-        if Z:
-            zi = inv * before % p  # 1/Z
-            inv = inv * Z % p  # 1/(product of the Z before this one)
-            zi2 = zi * zi % p
-            X, Y = X * zi2 % p, Y * zi2 * zi % p
-            table[d], table[-d] = (X, Y), (X, -Y % p)
+    P = table[1] = (x, y)
+    table[-1] = (x, -y % p)
+    twice = _add(p, a4, P, P)
+    for d in (3, 5, 7):
+        P = _add(p, a4, P, twice)
+        if P is not None:
+            table[d], table[-d] = P, (P[0], -P[1] % p)
     return table
 
 
@@ -229,9 +226,9 @@ def _mul_raw(p: int, a4: int, x: int, y: int, m: int) -> tuple[int, int] | None:
     """[m](x, y) for m >= 0 (hot path).
 
     The Jacobian double-and-add of _jacobian, over the width-4 NAF of m
-    from NAF_MIN_BITS on and over its binary digits below, so the only
-    inversions are the table's one and the one that returns the result
-    to affine coordinates.
+    from NAF_MIN_BITS on and over its binary digits below; past the NAF
+    table's affine steps, the only inversion returns the result to affine
+    coordinates.
     """
     if m == 0:
         return None

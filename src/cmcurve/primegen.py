@@ -3,11 +3,10 @@
 Each such prime splits into principal ideals in Q(sqrt(-d)), which is what
 makes the per-prime class polynomial recoverable from point counts alone.
 The search walks t upward with the parity forced by 4 | t^2 + d and stops
-once the product of the primes found exceeds the requested target, by
-default the bound M = B / (1/2 - epsilon) of the modular CRT, with
-crt.DEFAULT_EPSILON as epsilon. The search for the gamma_2 class
-polynomial keeps only the p = 2 (mod 3), to a target of a third of the
-height.
+once the product of the primes found exceeds the bound
+M = B / (1/2 - epsilon) of the modular CRT, with crt.DEFAULT_EPSILON as
+epsilon. The search for the gamma_2 class polynomial keeps only the
+p = 2 (mod 3), to a target of a third of the height.
 """
 
 from __future__ import annotations
@@ -70,12 +69,12 @@ def _trace_cap(target_log: float) -> int:
     return 10 ** 6 * max(1, math.ceil(math.log(max(target_log, math.e))))
 
 
-def _split_primes(d: int, t: int, gamma2: bool, cap: int | None = None):
+def _split_primes(d: int, t: int, gamma2: bool, cap: int):
     """CrtPrime(p, t') for every prime p = (t'^2 + d)/4 > 3 not dividing d,
     for t' = t, t + 2, ... in turn, hence ascending in p; with gamma2 only
     the p = 2 (mod 3). t must have the parity of d. Raises
     SearchLimitExceeded once t' passes cap."""
-    while cap is None or t <= cap:
+    while t <= cap:
         p, rem = divmod(t * t + d, 4)
         if (rem == 0 and p > 3 and d % p != 0 and (not gamma2 or p % 3 == 2)
                 and is_prime(p)):
@@ -84,20 +83,17 @@ def _split_primes(d: int, t: int, gamma2: bool, cap: int | None = None):
     raise SearchLimitExceeded(f"prime search for d = {d} passed t = {cap}")
 
 
-def find_crt_primes(
-    disc: Discriminant, target_log: float | None = None, *, gamma2: bool = False
-) -> PrimeSet:
+def find_crt_primes(disc: Discriminant, *, gamma2: bool = False) -> PrimeSet:
     """Smallest-first primes of the form (t^2 + d)/4 whose product exceeds
-    exp(target_log).
+    the reconstruction threshold M, exp(default_target_log(disc)).
 
-    At least one prime is always emitted, even for target_log = 0. Primes
-    p <= 3 and primes dividing 6d are skipped (the curve model needs
+    Primes p <= 3 and primes dividing 6d are skipped (the curve model needs
     characteristic > 3 and an unramified prime; for t >= 1 no p > 3 can
     divide d anyway).
 
     With gamma2 the search keeps only p = 2 (mod 3), where cubing permutes
     F_p, so that each j-shard gives the reduction of the gamma_2 class
-    polynomial (classpoly.gamma2_poly); the default target is then that
+    polynomial (classpoly.gamma2_poly); the target is then that
     polynomial's. As 4p = t^2 + d, p = 2 (mod 3) means 3 does not divide t
     when d = 1 (mod 3) and 3 divides t when d = 2 (mod 3); for 3 | d there
     is no such p, and the search refuses.
@@ -109,15 +105,12 @@ def find_crt_primes(
         )
     if gamma2 and d % 3 == 0:
         raise ValueError(f"gamma_2 is no class invariant for 3 | d = {d}")
-    if target_log is None:
-        target_log = default_target_log(disc, gamma2=gamma2)
-    if target_log < 0:
-        raise ValueError("target_log must be nonnegative")
+    target_log = default_target_log(disc, gamma2=gamma2)
     primes: list[CrtPrime] = []
     log_product = 0.0
     # 4 | t^2 + d forces t odd iff d is odd
     found = _split_primes(d, 1 if d % 2 else 2, gamma2, _trace_cap(target_log))
-    while not primes or log_product < target_log + _LOG_GUARD:
+    while log_product < target_log + _LOG_GUARD:
         cp = next(found)
         primes.append(cp)
         log_product += math.log(cp.p)

@@ -194,9 +194,9 @@ def test_criterion_08_end_to_end_construction():
         result = construct_curve(N59, 142521)
         assert result.j == min(roots)
         assert point_count_naive(result.curve) == 142521
-        forced = construct_curve(N59, 142521, force_j=118481)
-        assert (forced.curve.a4, forced.curve.a6) == (39103, 120580)
-        assert point_count_naive(forced.curve) == 142521
+        published = curve_from_j(118481, N59)
+        assert (published.a4, published.a6) == (39103, 120580)
+        assert point_count_naive(published) == 142521
 
 
 def test_criterion_09a_crt_oracle_equivalence():
@@ -263,7 +263,7 @@ def test_criterion_09d_random_discriminant_shards():
 
         for D in discs:
             disc = discriminant(D)
-            cp = find_crt_primes(disc, target_log=0.0).primes[0]
+            cp = find_crt_primes(disc).primes[0]
             shard = build_shard(disc, cp)
             assert shard.h == disc.h
             f = list(shard.poly.coeffs)

@@ -127,11 +127,12 @@ def test_sqrt_mod_p_every_residue_for_p_1_mod_4():
                     sqrt_mod_p(a, p)
 
 
-@pytest.mark.parametrize("a, m", [(2, 9), (2, 25), (7, 21)])
+@pytest.mark.parametrize("a, m", [(2, 9), (2, 25), (7, 21), (4, 15), (9, 15)])
 def test_sqrt_mod_p_refuses_a_composite_modulus(a, m):
     # 9 and 25 have no z with Jacobi symbol -1, so the search for a
     # non-residue must stop at m; at 21 the Tonelli-Shanks squarings never
-    # reach 1, so they must stop after m of them
+    # reach 1, so they must stop after m of them; at 15 = 3 (mod 4),
+    # y = a^4 has y^2 = 1 for a = 4 and y^2 = -a for a = 9, a non-unit
     with pytest.raises(ValueError, match=f"{m} is not an odd prime"):
         sqrt_mod_p(a, m)
 

@@ -25,19 +25,55 @@ def test_summary_medians_quartiles_and_wins():
     walls = [(10.0, 3.0), (12.0, 2.0), (11.0, 4.0), (13.0, 13.5), (9.0, 3.5)]
     pairs = [(_run(wall_s=p, rate=1.0), _run(wall_s=c, rate=r))
              for (p, c), r in zip(walls, (2.0, 0.5, 1.0, 3.0, 2.0))]
-    out = _module().summarize(pairs, {"wall_s": "lower", "rate": "higher"})
+    out = _module().summarize(pairs, [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "better": "higher", "bound": 0.25},
+    ])
     assert out["pairs"] == 5 and out["correct"] and out["failed"] == 0
     wall = out["metrics"]["wall_s"]
     assert wall["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
     assert wall["change"] == {"median": 3.5, "q1": 3.0, "q3": 4.0}
     assert wall["change_wins"] == 4  # 13.5 against 13.0 is a loss
     assert out["metrics"]["rate"]["change_wins"] == 3  # equal is no win
+    # 4 of 5 wins is no gain, and the spread 2 is within 0.25 * 11
+    assert wall["verdict"] == out["metrics"]["rate"]["verdict"] == "unchanged"
+
+
+PARENT = [10.0, 10.2, 9.9, 10.1, 10.0, 9.8, 10.3, 10.0, 9.9, 10.1]  # quartiles 9.925, 10.1
+
+
+@pytest.mark.parametrize("chg, better, want", [
+    # 9 of 10 pairs won, median 2.0 better, beyond the parent's spread
+    ([8.0] * 9 + [11.0], "lower", "gain"),
+    ([12.0] * 9 + [9.0], "higher", "gain"),
+    # 8 of 10 pairs won is no gain, nor is a median better by less than
+    # the spread
+    ([8.0] * 8 + [11.0] * 2, "lower", "unchanged"),
+    ([v - 0.15 for v in PARENT], "lower", "unchanged"),
+    # a median worse by more than 0.25 * 10.0 regresses, by less does not
+    ([12.6] * 10, "lower", "regressed"),
+    ([7.4] * 10, "higher", "regressed"),
+    ([12.4] * 10, "lower", "unchanged"),
+])
+def test_verdict_of_a_tight_parent(chg, better, want):
+    assert _module().compare(PARENT, chg, better, 0.25)["verdict"] == want
+
+
+def test_verdict_of_a_parent_spread_wider_than_the_bound():
+    compare = _module().compare
+    par = [5.0, 15.0] * 5  # median 10, quartiles 5 and 15
+    assert compare(par, par, "lower", 0.25)["verdict"] == "unresolved"
+    # a regression beyond the bound is still reported as one
+    assert compare(par, [x + 3 for x in par], "lower", 0.25)["verdict"] == "regressed"
+    # every run of the change beats every run of the parent: resolved
+    assert compare(par, [4.0] * 10, "lower", 0.25)["verdict"] == "unchanged"
+    assert compare(par, [4.9] * 5 + [16.0] * 5, "lower", 0.25)["verdict"] == "unresolved"
 
 
 def test_summary_reports_incorrect_and_failed_runs():
     pairs = [(_run(wall_s=1.0), _run(wall_s=1.0, correct=False, failed=2)),
              (_run(wall_s=1.0, failed=1), _run(wall_s=1.0))]
-    out = _module().summarize(pairs, {"wall_s": "lower"})
+    out = _module().summarize(pairs, [{"name": "wall_s", "better": "lower", "bound": 0.25}])
     assert not out["correct"]
     assert out["failed"] == 3
     assert out["metrics"]["wall_s"]["change_wins"] == 0

@@ -351,7 +351,7 @@ def test_build_shards_rejects_a_cached_shard_with_a_dropped_root(tmp_path):
 
 def test_build_shards_uses_cache(tmp_path):
     disc = discriminant(-59)
-    ps = find_crt_primes(disc, target_log=10.0)
+    ps = find_crt_primes(disc)
     first = build_shards(disc, ps.primes, cache_dir=tmp_path)
     stamp = [shard_path(tmp_path, disc.D, cp.p).stat().st_mtime_ns for cp in ps.primes]
     second = build_shards(disc, ps.primes, cache_dir=tmp_path)

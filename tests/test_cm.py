@@ -41,7 +41,7 @@ from cmcurve.errors import (
     OutsideHasse,
     ZeroTrace,
 )
-from cmcurve.classpoly import build_shards, gamma2_poly
+from cmcurve.classpoly import build_shards, gamma2_poly, poly_from_roots
 from cmcurve.crt import DEFAULT_EPSILON, crt_integer
 from cmcurve.primegen import find_crt_primes
 from cmcurve.quadforms import discriminant, is_fundamental
@@ -144,9 +144,9 @@ def test_construct_curve_main_example():
 
 
 def test_construct_curve_forced_root_gives_published_curve():
-    result = construct_curve(141767, 142521, force_j=118481)
-    assert (result.curve.a4, result.curve.a6) == (39103, 120580)
-    assert point_count_naive(result.curve) == 142521
+    E = curve_from_j(118481, 141767)
+    assert (E.a4, E.a6) == (39103, 120580)
+    assert verify_order(E, 142521)
 
 
 def test_construct_curve_twist_branch():
@@ -155,11 +155,6 @@ def test_construct_curve_twist_branch():
     assert point_count_naive(result.curve) == target == 141015
     # same j-invariant as the other branch
     assert result.j == construct_curve(141767, 142521).j
-
-
-def test_construct_curve_rejects_bad_force():
-    with pytest.raises(ValueError):
-        construct_curve(141767, 142521, force_j=5)
 
 
 def test_construct_curve_special_j0():
@@ -172,16 +167,6 @@ def test_construct_curve_special_j1728():
     result = construct_curve(5, 2)  # t = 4, D = -4
     assert result.j == 1728 % 5
     assert point_count_naive(result.curve) == 2
-
-
-@pytest.mark.parametrize("n, N, j", [(7, 3, 0), (5, 2, 1728)], ids=["d3", "d4"])
-def test_construct_curve_special_j_force_j(n, N, j):
-    plain = construct_curve(n, N).curve
-    forced = construct_curve(n, N, force_j=j)
-    assert (forced.curve.a4, forced.curve.a6) == (plain.a4, plain.a6)
-    assert forced.j == j % n
-    with pytest.raises(ValueError):
-        construct_curve(n, N, force_j=1)
 
 
 @pytest.mark.parametrize(
@@ -564,11 +549,11 @@ def _cert_shards(D, gamma2, cache):
 
 
 def _cert_spare(D, gamma2, shards, cache):
-    # the shard of the prime that the search takes next past the shards: the
-    # spare of a search whose target lies just below their product
+    # the shard of the default search's spare prime, past every shard of
+    # that search and so past the given ones, which are some of them
     disc = discriminant(D)
-    target = math.fsum(math.log(s.p) for s in shards) - 1
-    q = find_crt_primes(disc, target, gamma2=gamma2).spare
+    q = find_crt_primes(disc, gamma2=gamma2).spare
+    assert q.p > shards[-1].p
     return build_shards(disc, [q], cache_dir=cache)[0]
 
 
@@ -610,6 +595,29 @@ def test_certificate_refuses_a_spare_from_the_basis(cert_cache):
     shards = _cert_shards(-59, True, cert_cache)
     with pytest.raises(ValueError, match="spare prime 71 is a basis prime"):
         lift_shards(shards, CERT_N, gamma2=True, spare=shards[1])
+
+
+@pytest.mark.parametrize(
+    "Ds", [(-59, -83), (-83, -59), (-131, -59), (-59, -131)],
+    ids=["D59-D83", "D83-D59", "D131-D59", "D59-D131"],
+)
+def test_lift_refuses_shards_of_two_discriminants(Ds, cert_cache):
+    # -59 and -83 share h = 3, so without the check their shards lift to
+    # some polynomial; with the h = 5 shards of -131 first, the lift would
+    # index past the coefficients of the h = 3 ones
+    shards = [s for D in Ds for s in _cert_shards(D, False, cert_cache)]
+    with pytest.raises(ValueError, match="shards mix discriminants"):
+        lift_shards(shards, CERT_N)
+
+
+def test_lift_refuses_shards_of_two_degrees(cert_cache):
+    shards = _cert_shards(-59, False, cert_cache)
+    js = shards[0].j_set[:2]
+    shards[0] = dataclasses.replace(
+        shards[0], j_set=js, poly=poly_from_roots(js, shards[0].p)
+    )
+    with pytest.raises(ValueError, match="shards mix degrees"):
+        lift_shards(shards, CERT_N)
 
 
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])

@@ -251,10 +251,19 @@ def _small_order_curves(p):
 
 def _naf_chain_events(m, order):
     """The special cases that [m]P in width-4 NAF meets, for P of the given
-    order > 1: those of the binary chains that build [3]P, [5]P and [7]P,
-    then those of the main loop, following the multiple k of the
-    accumulator."""
-    events = {"table: " + e for k in (3, 5, 7) for e in _chain_events(k, order)}
+    order > 1: those of the affine additions that build the table, [2]P
+    as P + P, then [2]P added to [k]P for k = 1, 3 and 5, and those of the
+    main loop, following the multiple k of the accumulator."""
+    events = set()
+    for k in (1, 3, 5):
+        if 2 % order == 0:
+            events.add("table: twice = O")
+        elif k % order == 0:
+            events.add("table: accumulator = O")
+        elif (k - 2) % order == 0:
+            events.add("table: accumulator = twice")
+        elif (k + 2) % order == 0:
+            events.add("table: accumulator = -twice")
     digits = _naf4(m)
     k = digits[0]
     if k % order == 0:
@@ -298,13 +307,14 @@ def test_scalar_mul_matches_repeated_addition_on_every_point(p):
                 assert m.bit_length() >= NAF_MIN_BITS
                 assert scalar_mul(E, P, m) == ref[r], (E, P, m)
                 events |= _naf_chain_events(m, order)
-    # bases of order 2, 3, 5 and 7 meet O and 2P = +-P while the table is
-    # built and O among its entries; the main loop meets an accumulator
-    # equal to an entry (H = 0, r = 0) and to its negative
+    # bases of order 2 and 3 meet [2]P = O and an accumulator at O, at [2]P
+    # and at -[2]P while the table is built, and O among its entries; the
+    # main loop meets an accumulator equal to an entry (H = 0, r = 0) and
+    # to its negative
     assert {2, 3, 5, 7} <= orders
     assert events == {
-        "table: double Y = 0", "table: accumulator = base", "table: accumulator = -base",
-        "double Y = 0", "entry = O", "accumulator = O",
+        "table: twice = O", "table: accumulator = O", "table: accumulator = twice",
+        "table: accumulator = -twice", "double Y = 0", "entry = O", "accumulator = O",
         "accumulator = entry", "accumulator = -entry",
     }
 

@@ -49,11 +49,6 @@ def test_no_primes_when_d_is_7_mod_8():
         find_crt_primes(discriminant(-23))
 
 
-def test_zero_target_still_emits_one_prime():
-    ps = find_crt_primes(discriminant(-59), target_log=0.0)
-    assert [cp.p for cp in ps.primes] == [17]
-
-
 def test_determinism():
     disc = discriminant(-59)
     assert find_crt_primes(disc) == find_crt_primes(disc)
@@ -62,7 +57,7 @@ def test_determinism():
 def test_search_limit(monkeypatch):
     monkeypatch.setattr(primegen, "_trace_cap", lambda target_log: 5)
     with pytest.raises(SearchLimitExceeded):
-        find_crt_primes(discriminant(-59), target_log=100.0)
+        find_crt_primes(discriminant(-59))
 
 
 def test_default_target_matches_threshold_formula():
@@ -83,7 +78,7 @@ def test_prime_stats_report():
 
 def test_primes_avoid_tiny_and_ramified():
     # d = 3 hits (t, p) = (3, 3), which the search must skip
-    ps = find_crt_primes(discriminant(-3), target_log=3.0)
+    ps = find_crt_primes(discriminant(-3))
     assert all(cp.p > 3 and 3 % cp.p != 0 for cp in ps.primes)
     assert [cp.p for cp in ps.primes][0] == 7  # t = 5: (25 + 3)/4
 

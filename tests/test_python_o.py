@@ -33,6 +33,8 @@ GUARD_TESTS = [
     "tests/test_cm.py::test_construct_curve_rejects_a_j_that_is_no_root",
     "tests/test_cm.py::test_construct_curve_rejects_a_shard_residue_off_by_one",
     "tests/test_cm.py::test_construct_curve_rejects_the_wrong_twist_alone",
+    "tests/test_cm.py::test_lift_refuses_shards_of_two_discriminants",
+    "tests/test_cm.py::test_lift_refuses_shards_of_two_degrees",
     "tests/test_crt.py::test_crt_mod_n_rejects_unreduced_residues",
     "tests/test_crt.py::test_crt_integer_refuses_in_order",
     "tests/test_cm.py::test_derive_cm_params_rejects_a_ramified_n",
@@ -58,5 +60,6 @@ def test_guard_tests_pass_under_python_O():
     # spare refusal, 2 pairs for each construct_curve mutant and 4 primes
     # of scalar multiplication on every point, then 2 jobs refusals of
     # construct_curve, 2 of the shard scan, 4 epsilon refusals of
-    # build_basis and 4 composite moduli refused by the square root
-    assert re.search(r"^62 passed\b", proc.stdout, re.MULTILINE), proc.stdout
+    # build_basis, 6 composite moduli refused by the square root, and 4
+    # orders of two discriminants and 1 mix of degrees refused by the lift
+    assert re.search(r"^69 passed\b", proc.stdout, re.MULTILINE), proc.stdout
