@@ -43,8 +43,6 @@ from .primegen import CrtPrime, PrimeSet, find_crt_primes
 from .quadforms import (
     Discriminant,
     QuadForm,
-    class_number,
-    coefficient_bound_log,
     discriminant,
     is_fundamental,
     reduced_forms,

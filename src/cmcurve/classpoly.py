@@ -131,17 +131,15 @@ def _root_classes(p: int, t: int) -> tuple[int, ...]:
     return (0,) if (p + 1 - t) % 4 == 2 else (0, 2)
 
 
-def _probe(p: int, t: int, j: int, inv=None) -> tuple[int, int] | None:
+def _probe(p: int, t: int, j: int, inv) -> tuple[int, int] | None:
     """The scan model (a4, a6) of j != 0, 1728 if it passes the one-point
     probe, or None: then no twist of it has p + 1 +- t points. inv gives
-    1/v mod p by indexing, pow(v, -1, p) when omitted."""
+    1/v mod p by indexing: inverse_table(p) or PowInverse(p)."""
     k = 1728 - j
     a4, a6 = 3 * j * k % p, 2 * j * k * k % p
     c = (1 + a4 + a6) % p
     if c:
         a4c, cc = a4 * c * c % p, c * c % p
-        if inv is None:
-            inv = PowInverse(p)
         if _x_mul(p, a4c, c, cc, p + 1, inv) != _x_mul(p, a4c, c, cc, t, inv):
             return None
     return a4, a6

@@ -9,7 +9,7 @@ gamma_2 = j^(1/3), whose coefficients have a third of the log-height of
 H_D's, from the same j-shards at the primes p = 2 (mod 3); j is then the
 smallest cube of its roots, found by poly.find_all_roots. Each lift is
 checked at a spare prime; with j a root of H_D the curve has n + 1 -+ t
-points (Deuring), so for d > 4 one point that tells the two apart decides.
+points (Deuring): for d > 4, n > 2^10 one point telling them apart decides.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ def lift_shards(
 ) -> PolyModM:
     """The monic polynomial mod n whose reductions are the given shards.
 
-    The shards must share one discriminant and one degree h
-    (check_shard_set); each of the h lower coefficients is lifted by the
-    modular CRT over the shard primes. With gamma2 the reductions are the
-    shards' gamma2_poly, which needs every p = 2 (mod 3), and the result
-    is the gamma_2 class polynomial mod n.
+    The shards, and the spare with them, must share one discriminant and
+    one degree h (check_shard_set); each of the h lower coefficients is
+    lifted by the modular CRT over the shard primes. With gamma2 the
+    reductions are the shards' gamma2_poly, which needs every p = 2
+    (mod 3), and the result is the gamma_2 class polynomial mod n.
 
     A spare shard, at a prime q outside the basis, certifies the lift: the
     same residues lifted to q over the same moduli must give its reduction
@@ -103,7 +103,7 @@ def lift_shards(
     coefficient that is not below (1/2 - epsilon) M; a lift to a basis
     prime catches neither, as it returns that prime's residue.
     """
-    check_shard_set(shards)
+    check_shard_set(shards if spare is None else [*shards, spare])
     reduction = gamma2_poly if gamma2 else (lambda s: s.poly)
     polys = [reduction(s) for s in shards]
     moduli = [s.p for s in shards]
@@ -176,10 +176,10 @@ def _class_poly_mod_n(
     return poly, primes
 
 
-def find_root_mod_n(poly: PolyModM, n: int, seed=0, *, power: int = 1) -> int:
+def find_root_mod_n(poly: PolyModM, n: int, *, power: int = 1) -> int:
     """Smallest root of poly mod n, or with power = e the smallest r^e mod n
     over its roots r; raises NoRoot when there is none."""
-    roots = find_all_roots(poly, n, seed)
+    roots = find_all_roots(poly, n)
     if not roots:
         raise NoRoot(f"polynomial has no root mod {n}")
     return min(pow(r, power, n) for r in roots)
@@ -193,15 +193,17 @@ def find_root_mod_n(poly: PolyModM, n: int, seed=0, *, power: int = 1) -> int:
 def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None, cm=False) -> bool:
     """Check #E(F_p) = N.
 
-    For fields up to NAIVE_COUNT_CAP an exact count decides. Above it,
-    random points must all be annihilated by N while the complementary
-    candidate N' = 2p + 2 - N fails on at least one of them. Once [N]P = O,
-    [N']P = [N' - N]P, a scalar of half the length.
+    An exact count decides up to EXHAUSTIVE_COUNT_MAX, and without cm up
+    to NAIVE_COUNT_CAP. Above, random points must all be annihilated by N
+    while N' = 2p + 2 - N fails on at least one; once [N]P = O, [N']P =
+    [N' - N]P, a scalar of half the length.
 
     With cm the caller knows that #E is N or N', and the first point with
-    [N]P = O and [N']P != O proves #E = N: no curve of order N' has one.
-    The points drawn up to there, and so the answer, are those of the
-    16-point rule.
+    [N]P = O and [N']P != O proves #E = N. On a curve of order N the other
+    points form a group of order at most 16 sqrt(p) (its invariant factors
+    divide 4 and 2|t|), so for p > EXHAUSTIVE_COUNT_MAX 16 samples all miss
+    such a point with probability at most (16/(sqrt(p) - 2))^16; a miss
+    rejects the curve, never accepts a wrong one.
     """
     p = E.p
     lo, hi = hasse_interval(p)
@@ -209,11 +211,9 @@ def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None, cm=F
         raise ValueError("order to verify must lie in the Hasse interval")
     if rng is None:
         rng = random.Random(0)
-    if p <= NAIVE_COUNT_CAP:
-        if p <= EXHAUSTIVE_COUNT_MAX:
-            exact = point_count_naive(E)
-        else:
-            exact = point_count_bsgs(E, rng=rng)
+    if p <= EXHAUSTIVE_COUNT_MAX or (p <= NAIVE_COUNT_CAP and not cm):
+        small = p <= EXHAUSTIVE_COUNT_MAX
+        exact = point_count_naive(E) if small else point_count_bsgs(E, rng=rng)
         if exact != N:
             return False
         if scalar_mul(E, random_point(E, rng), N) is not None:
@@ -262,8 +262,7 @@ def construct_curve(
     The answer is the first of _candidates that verify_order accepts with
     N points. The lift is certified at a spare prime, so for d > 4 each
     candidate has N or N' = 2n + 2 - N points, and verify_order decides at
-    its first point that tells them apart, which gives the same answer as
-    16 points.
+    its first point that tells them apart (by an exact count at n <= 2^10).
     """
     check_jobs(jobs)
     timings: dict[str, float] = {}
@@ -276,7 +275,7 @@ def construct_curve(
     poly, primes_used = _class_poly_mod_n(disc, n, gamma2, jobs, cache_dir, timings)
 
     t0 = time.perf_counter()
-    j = find_root_mod_n(poly, n, seed, power=3 if gamma2 else 1)
+    j = find_root_mod_n(poly, n, power=3 if gamma2 else 1)
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -30,7 +30,7 @@ class SpecialJ(DomainError):
 
 
 class TooLarge(DomainError):
-    """Field too large for the exhaustive point count."""
+    """An input above its stated cap: a field to count, a discriminant."""
 
 
 class Ambiguous(DomainError):

@@ -170,14 +170,14 @@ class _ModF:
         return r
 
 
-def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
+def find_all_roots(poly: PolyModM, n: int) -> list[int]:
     """All roots in F_n of a nonzero polynomial, sorted ascending.
 
     gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
     raised to (n-1)/2 then split that product of linear factors. The first
     shift's power W also gives X^n = (X + c) W^2 - c, since (X + c)^n =
-    X^n + c in F_n[X], and W mod g is the split's first attempt. The shift
-    sequence comes from the seed, so results are reproducible.
+    X^n + c in F_n[X], and W mod g is the split's first attempt. The shifts,
+    from task_rng(0, "roots", n), change the work but never the roots.
     """
     if poly.modulus != n:
         raise ValueError("polynomial modulus does not match n")
@@ -188,7 +188,7 @@ def find_all_roots(poly: PolyModM, n: int, seed=0) -> list[int]:
     f = list(poly.coeffs)
     if len(f) == 1:
         return []
-    rng = task_rng(seed, "roots", n)
+    rng = task_rng(0, "roots", n)
     c = rng.randrange(n)
     ring = _ModF(f, n)
     w = ring.pow_linear(c, (n - 1) // 2)

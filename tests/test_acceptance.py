@@ -30,8 +30,6 @@ from cmcurve.curves import (
 )
 from cmcurve.primegen import CrtPrime, find_crt_primes
 from cmcurve.quadforms import (
-    class_number,
-    coefficient_bound_log,
     discriminant,
     is_fundamental,
     reduced_forms,
@@ -121,14 +119,15 @@ def test_criterion_01_forms_and_class_numbers():
             (1, 1, 15), (3, 1, 5), (3, -1, 5)
         }
         assert len(forms) == 3
-        assert class_number(-832603) == 96
+        assert discriminant(-832603).h == 96
 
 
 def test_criterion_02_coefficient_bound():
     with criterion(2, "coefficient bound for D = -832603", 1.0):
-        s = float(sum_inverse_a(-832603))
+        disc = discriminant(-832603)
+        s = float(sum_inverse_a(disc))
         assert abs(s - 1.85) <= 0.01
-        log_b = coefficient_bound_log(-832603)
+        log_b = disc.log_B
         assert 5360 <= log_b <= 5440
 
 

@@ -28,6 +28,7 @@ from cmcurve.classpoly import (
 )
 from cmcurve.curves import (
     _TABLE_CACHE_MAX,
+    PowInverse,
     curve,
     curve_from_j,
     inverse_table,
@@ -95,7 +96,7 @@ def test_root_character_and_probe_at_every_small_prime():
     # every j of every prime 5 <= p < 400, with t from its exact count
     c_zero = 0
     for p in filter(is_prime, range(5, 400)):
-        tbl = residue_table(p)
+        tbl, inv = residue_table(p), PowInverse(p)
         for j in range(1, p):
             if j == 1728 % p:
                 continue
@@ -105,7 +106,7 @@ def test_root_character_and_probe_at_every_small_prime():
             assert order % 4 != 2 or chi == -1
             t = abs(p + 1 - order)
             assert tbl[(j - 1728) % p] in _root_classes(p, t)
-            a4, a6 = _probe(p, t, j)
+            a4, a6 = _probe(p, t, j, inv)
             assert curve(p, a4, a6).j == j
             c_zero += (1 + a4 + a6) % p == 0
     assert c_zero > 0  # the probe's c = 0 branch was taken
@@ -117,7 +118,7 @@ def test_character_test_and_probe_reject_most_candidates():
     tbl = residue_table(p)
     passed = [j for j in range(1, p) if tbl[(j - 1728) % p] == 2]
     assert 2 * len(passed) == p - 1  # half of F_p
-    survivors = [j for j in passed if _probe(p, t, j) is not None]
+    survivors = [j for j in passed if _probe(p, t, j, PowInverse(p)) is not None]
     assert {70, 958, 2381} <= set(survivors) and len(survivors) < 20
 
 

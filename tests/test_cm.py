@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from cmcurve.errors import (
     NoRoot,
     NotFundamental,
     OutsideHasse,
+    TooLarge,
     ZeroTrace,
 )
 from cmcurve.classpoly import build_shards, gamma2_poly, poly_from_roots
@@ -120,11 +122,6 @@ def test_find_root_linear_and_no_root():
     assert [x for x in range(3) if (x * x + 1) % 3 == 0] == []
     with pytest.raises(NoRoot):
         find_root_mod_n(PolyModM(modulus=3, coeffs=(1, 0, 1)), 3)
-
-
-def test_find_root_determinism_across_seeds():
-    poly = PolyModM(modulus=N59, coeffs=H59_MOD_N)
-    assert find_root_mod_n(poly, N59, seed=0) == find_root_mod_n(poly, N59, seed=99)
 
 
 def test_find_all_roots_with_repeated_factor_structure():
@@ -388,6 +385,50 @@ def test_construct_curve_decides_by_the_first_distinguishing_point(
         assert drawn == [want] * 16
 
 
+def test_construct_curve_counts_no_cm_candidate_below_the_naive_cap(
+    shard_cache, monkeypatch
+):
+    # d > 4 above EXHAUSTIVE_COUNT_MAX: the point rule decides, never BSGS;
+    # D = -59 with n = (t^2 + 59) / 4 < NAIVE_COUNT_CAP
+    counted = []
+    monkeypatch.setattr(cm, "point_count_bsgs", lambda E, **kw: counted.append(E))
+    n, t = 33680627, 11607
+    for N in (n + 1 - t, n + 1 + t):
+        E = construct_curve(n, N, cache_dir=shard_cache).curve
+        assert counted == []
+        assert point_count_bsgs(E, rng=task_rng(0)) == N
+
+
+# (n, N) for 20 fundamental d > 4, d != 7 (mod 8), with 2^11 <= n < 2^26:
+# n is the first prime (t^2 + d) / 4 from 2^(b - 1) on, b = 12 .. 26, and
+# the sign of t alternates
+POINT_RULE_PAIRS = [
+    (3083, 2973), (2357, 2455), (5189, 5046), (8287, 8470), (11351, 11139),
+    (16651, 16910), (33317, 32953), (71569, 72105), (69709, 69182),
+    (131783, 132510), (277217, 276165), (526367, 527819), (562517, 561018),
+    (1111991, 1114101), (2149177, 2146246), (4247743, 4251866),
+    (4225103, 4220993), (8430341, 8436149), (17032159, 17023906),
+    (33564673, 33576261),
+]
+
+
+@pytest.mark.parametrize("n, N", POINT_RULE_PAIRS)
+def test_construct_curve_by_points_matches_the_exact_count(shard_cache, n, N):
+    assert derive_cm_params(n, N).disc.d > 4
+    E = construct_curve(n, N, cache_dir=shard_cache).curve
+    assert point_count_bsgs(E, rng=task_rng(0)) == N
+
+
+def test_construct_curve_refuses_a_huge_discriminant_up_front():
+    # a 64-bit n with t = 12345: d = 4n - t^2 is some 7e19, whose trial
+    # division alone would run for hours
+    n = 18446744073709551557
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="exceeds the discriminant cap"):
+        construct_curve(n, n + 1 - 12345)
+    assert time.perf_counter() - start < 1.0
+
+
 SPECIAL = [(211, 183, 3), (211, 241, 3), (257, 226, 4), (257, 290, 4)]
 
 
@@ -443,17 +484,21 @@ def test_verify_order_large_field_sampling_path():
 def test_verify_order_cm_needs_a_point_that_tells_the_orders_apart(monkeypatch):
     # y^2 = (x - 1)(x^2 + x + 2) has the 2-torsion point (1, 0); #E and
     # N' = 2p + 2 - #E are both even, so [N']P = O as well as [#E]P = O,
-    # and the point may not settle the order either way
-    p = 67108879
-    E = curve(p, 1, p - 2)
-    n_true = point_count_bsgs(E, rng=task_rng(0))
-    other = 2 * p + 2 - n_true
-    assert n_true % 2 == 0 and n_true != other
+    # and the point may not settle the order either way; one field below
+    # NAIVE_COUNT_CAP, where cm skips the exact count, and one above
     real = cm.random_point
-    for N, verdict in ((other, False), (n_true, True)):
-        draws = iter([(1, 0)])
-        monkeypatch.setattr(cm, "random_point", lambda E, rng: next(draws, None) or real(E, rng))
-        assert verify_order(E, N, cm=True) is verdict
+    for p in (1000003, 67108879):
+        E = curve(p, 1, p - 2)
+        n_true = point_count_bsgs(E, rng=task_rng(0))
+        other = 2 * p + 2 - n_true
+        assert n_true % 2 == 0 and n_true != other
+        for N, verdict in ((other, False), (n_true, True)):
+            draws = iter([(1, 0)])
+            monkeypatch.setattr(
+                cm, "random_point", lambda E, rng: next(draws, None) or real(E, rng)
+            )
+            assert verify_order(E, N, cm=True) is verdict
+            assert next(draws, None) is None  # the pinned point was drawn
 
 
 def test_verify_order_requires_hasse():
@@ -608,6 +653,18 @@ def test_lift_refuses_shards_of_two_discriminants(Ds, cert_cache):
     shards = [s for D in Ds for s in _cert_shards(D, False, cert_cache)]
     with pytest.raises(ValueError, match="shards mix discriminants"):
         lift_shards(shards, CERT_N)
+
+
+def test_lift_refuses_a_spare_of_another_discriminant(cert_cache):
+    # D = -83 has h = 3 like -59: its spare shard passes the degree check
+    # and would fail the certificate with a misleading message
+    shards = _cert_shards(-59, False, cert_cache)
+    disc83 = discriminant(-83)
+    q = find_crt_primes(disc83).spare
+    spare = build_shards(disc83, [q], cache_dir=cert_cache)[0]
+    assert spare.p == 3803 and len(shards) == 8
+    with pytest.raises(ValueError, match="shards mix discriminants"):
+        lift_shards(shards, CERT_N, spare=spare)
 
 
 def test_lift_refuses_shards_of_two_degrees(cert_cache):

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from cmcurve.errors import NotFundamental
+from cmcurve.errors import NotFundamental, TooLarge
 from cmcurve.quadforms import (
+    MAX_D,
     QuadForm,
-    class_number,
-    coefficient_bound_log,
     discriminant,
     is_fundamental,
     reduced_forms,
@@ -40,9 +39,9 @@ def test_reduced_forms_minus_3():
 
 
 def test_class_numbers():
-    assert class_number(-59) == 3
-    assert class_number(-3) == 1
-    assert class_number(-832603) == 96
+    assert discriminant(-59).h == 3
+    assert discriminant(-3).h == 1
+    assert discriminant(-832603).h == 96
 
 
 def _is_reduced_primitive(a, b, c, D):
@@ -87,18 +86,19 @@ def test_every_form_satisfies_invariants():
 
 
 def test_coefficient_bound_log_minus_59():
-    log_b = coefficient_bound_log(-59)
+    log_b = discriminant(-59).log_B
     assert abs(log_b - 41.3) < 0.05
-    assert sum_inverse_a(-59) == Fraction(5, 3)
+    assert sum_inverse_a(discriminant(-59)) == Fraction(5, 3)
     # independent float evaluation
     oracle = math.log(math.comb(3, 1)) + math.pi * math.sqrt(59) * (5 / 3)
     assert abs(log_b - oracle) < 1e-9
 
 
 def test_coefficient_bound_log_large_discriminant():
-    log_b = coefficient_bound_log(-832603)
+    disc = discriminant(-832603)
+    log_b = disc.log_B
     assert 5360 <= log_b <= 5440
-    s = float(sum_inverse_a(-832603))
+    s = float(sum_inverse_a(disc))
     assert abs(s - 1.85) <= 0.01
     oracle = math.log(math.comb(96, 48)) + math.pi * math.sqrt(832603) * s
     assert abs(log_b - oracle) < 1e-6 * oracle
@@ -111,6 +111,20 @@ def test_discriminant_factory():
         discriminant(-12)
     with pytest.raises(NotFundamental):
         discriminant(0)
+
+
+def test_discriminant_refuses_a_huge_d_up_front(monkeypatch):
+    # no trial division, no form enumeration: the cap is checked first
+    from cmcurve import quadforms
+
+    def fail(*a):
+        raise AssertionError("work done on a discriminant above the cap")
+
+    monkeypatch.setattr(quadforms, "is_fundamental", fail)
+    monkeypatch.setattr(quadforms, "reduced_forms", fail)
+    for D in (-(MAX_D + 3), -(4 * 927465761771 - 12345**2)):
+        with pytest.raises(TooLarge, match=f"d = {-D} exceeds the discriminant cap {MAX_D}"):
+            discriminant(D)
 
 
 def test_quadform_discriminant_method():
