@@ -12,6 +12,7 @@ Usage: python scripts/big_classgroup_demo.py [--jobs K] [--cache DIR] [--full-li
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,11 +26,10 @@ from cmcurve import (  # noqa: E402
     find_crt_primes,
     point_count_bsgs,
 )
-from cmcurve.arith import task_rng  # noqa: E402
 from cmcurve.curves import curve_from_j  # noqa: E402
 
 D = -832603
-N_TARGET = 100959557  # 4n = 20075^2 - D
+N_TARGET = 100959557  # the field prime n: 4n = t^2 - D with t = 20075
 
 
 def main() -> None:
@@ -59,7 +59,7 @@ def main() -> None:
 
     check = curve_from_j(shard.j_set[0], big.p)
     print(f"order of the j = {shard.j_set[0]} curve: "
-          f"{point_count_bsgs(check, rng=task_rng(0))}"
+          f"{point_count_bsgs(check)}"
           f" (p+1-t = {big.p + 1 - big.t}, p+1+t = {big.p + 1 + big.t})")
 
     if not args.full_lift:
@@ -67,14 +67,12 @@ def main() -> None:
         return
 
     n = N_TARGET
-    N = n + 1 + 20075
+    N = n + 1 + math.isqrt(4 * n + D)  # t^2 = 4n - d
     shards = len(find_crt_primes(disc, gamma2=True).primes)
     print(f"\nfull pipeline: curve over F_{n} with {N} points "
           f"({shards} gamma_2 shards; minutes without a warm cache)")
     t0 = time.perf_counter()
-    result = construct_curve(
-        n, N, jobs=args.jobs, cache_dir=args.cache, seed=0
-    )
+    result = construct_curve(n, N, jobs=args.jobs, cache_dir=args.cache)
     E = result.curve
     print(f"done in {time.perf_counter() - t0:.1f}s")
     print(f"curve: y^2 = x^3 + {E.a4}x + {E.a6} over F_{n} (j = {result.j})")

@@ -22,6 +22,9 @@ below may work on any twist:
   that reads each inverse from the p-entry inverse_table(p), so an
   inversion costs one lookup;
 - the four-point order filter and an exact count for the few survivors.
+  Both draw their points from fixed streams keyed on (p, j), and every j
+  kept is confirmed by the exact count, so a shard depends only on
+  (D, p, t).
 
 The h roots assemble into the monic shard polynomial prod (X - j) mod p
 (poly.poly_from_roots), which later gets lifted coefficient by coefficient.
@@ -43,7 +46,7 @@ from functools import lru_cache
 from itertools import compress
 from pathlib import Path
 
-from .arith import legendre, task_rng
+from .arith import legendre
 from .curves import (
     _TABLE_CACHE_MAX,
     EXHAUSTIVE_COUNT_MAX,
@@ -79,12 +82,6 @@ class Shard:
 # ---------------------------------------------------------------------------
 # j-invariant scan
 # ---------------------------------------------------------------------------
-
-# Key of the random points of the scan's order filter and exact counts. A
-# shard depends only on (D, p, t), since every j is confirmed by an exact
-# count, so these points need no run seed.
-_SCAN_SEED = 0
-
 
 @lru_cache(maxsize=_TABLE_CACHE_MAX)
 def isogeny_table(p: int) -> bytearray:
@@ -153,13 +150,9 @@ def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
         if model is None:
             continue
         E = CurveModP(p, *model, j)
-        rng = task_rng(_SCAN_SEED, "flt", p, j)
-        if not order_filter(E, t, rng=rng):
+        if not order_filter(E, t):
             continue
-        if p <= EXHAUSTIVE_COUNT_MAX:
-            n = point_count_naive(E)
-        else:
-            n = point_count_bsgs(E, rng=task_rng(_SCAN_SEED, "count", p, j))
+        n = point_count_naive(E) if p <= EXHAUSTIVE_COUNT_MAX else point_count_bsgs(E)
         if n in (p + 1 - t, p + 1 + t):
             out.append(j)
     return out

@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: forms, primes, hdmodp (one shard),
 lift (shards to a polynomial mod n), count, construct and verify.
 With --json every integer is emitted as a decimal string so consumers
-never hit 64-bit overflow. Identical invocations with the same seed print
-identical bytes; wall-clock timings only appear under --timings.
+never hit 64-bit overflow. Identical invocations print identical bytes;
+wall-clock timings only appear under --timings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import classpoly, cm, crt, curves, primegen, quadforms
-from .arith import is_prime, task_rng
+from .arith import is_prime
 from .errors import DomainError
 
 _ENV_CACHE = "CM_CACHE_DIR"
@@ -142,16 +142,15 @@ def _cmd_lift(args, out) -> int:
 def _cmd_count(args, out) -> int:
     _check_prime("p", args.p)
     E = curves.curve_from_j(args.j, args.p)
-    if args.method == "bsgs":
-        n_points = curves.point_count_bsgs(E, rng=task_rng(args.seed, "count", args.p))
-    else:
+    if args.p <= curves.EXHAUSTIVE_COUNT_MAX:
         n_points = curves.point_count_naive(E)
+    else:
+        n_points = curves.point_count_bsgs(E)
     doc = {
         "p": str(args.p),
         "j": str(E.j),
         "a4": str(E.a4),
         "a6": str(E.a6),
-        "method": args.method,
         "points": str(n_points),
     }
     _emit(doc, args.json, out)
@@ -159,9 +158,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_construct(args, out) -> int:
-    result = cm.construct_curve(
-        args.n, args.N, jobs=args.jobs, seed=args.seed, cache_dir=_cache_dir(args)
-    )
+    result = cm.construct_curve(args.n, args.N, jobs=args.jobs, cache_dir=_cache_dir(args))
     doc = {
         "n": str(args.n),
         "N": str(args.N),
@@ -182,7 +179,7 @@ def _cmd_construct(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     _check_prime("n", args.n)
     E = curves.curve(args.n, args.a4, args.a6)
-    ok = cm.verify_order(E, args.N, rng=task_rng(args.seed, "verify", args.n))
+    ok = cm.verify_order(E, args.N)
     doc = {
         "n": str(args.n),
         "N": str(args.N),
@@ -194,11 +191,9 @@ def _cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sub, *, jobs=False, seed=False, cache=False):
+def _add_common(sub, *, jobs=False, cache=False):
     if jobs:
         sub.add_argument("--jobs", type=int, default=1)
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
     if cache:
         sub.add_argument("--cache", type=str, default=None)
     sub.add_argument("--json", action="store_true")
@@ -238,15 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("count", help="point count for the curve with a given j")
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-j", type=int, required=True)
-    s.add_argument("--method", choices=("naive", "bsgs"), default="naive")
-    _add_common(s, seed=True)
+    _add_common(s)
     s.set_defaults(func=_cmd_count)
 
     s = subs.add_parser("construct", help="curve over F_n with exactly N points")
     s.add_argument("-n", type=int, required=True)
     s.add_argument("-N", type=int, required=True)
     s.add_argument("--timings", action="store_true")
-    _add_common(s, jobs=True, seed=True, cache=True)
+    _add_common(s, jobs=True, cache=True)
     s.set_defaults(func=_cmd_construct)
 
     s = subs.add_parser("verify", help="check a curve has the claimed order")
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-N", type=int, required=True)
     s.add_argument("--a4", type=int, required=True)
     s.add_argument("--a6", type=int, required=True)
-    _add_common(s, seed=True)
+    _add_common(s)
     s.set_defaults(func=_cmd_verify)
 
     return parser

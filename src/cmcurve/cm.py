@@ -14,7 +14,6 @@ points (Deuring): for d > 4, n > 2^10 one point telling them apart decides.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -47,7 +46,7 @@ from .poly import PolyModM, find_all_roots
 from .primegen import find_crt_primes
 from .quadforms import Discriminant, discriminant
 
-_VERIFY_SAMPLES = 16  # random points checked above NAIVE_COUNT_CAP
+_VERIFY_SAMPLES = 16  # random points checked where no exact count decides
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def find_root_mod_n(poly: PolyModM, n: int, *, power: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None, cm=False) -> bool:
+def verify_order(E: CurveModP, N: int, *, cm=False) -> bool:
     """Check #E(F_p) = N.
 
     An exact count decides up to EXHAUSTIVE_COUNT_MAX, and without cm up
@@ -204,16 +203,17 @@ def verify_order(E: CurveModP, N: int, *, rng: random.Random | None = None, cm=F
     divide 4 and 2|t|), so for p > EXHAUSTIVE_COUNT_MAX 16 samples all miss
     such a point with probability at most (16/(sqrt(p) - 2))^16; a miss
     rejects the curve, never accepts a wrong one.
+
+    The points are drawn from the fixed stream task_rng(0, "verify", p).
     """
     p = E.p
     lo, hi = hasse_interval(p)
     if not lo <= N <= hi:
         raise ValueError("order to verify must lie in the Hasse interval")
-    if rng is None:
-        rng = random.Random(0)
+    rng = task_rng(0, "verify", p)
     if p <= EXHAUSTIVE_COUNT_MAX or (p <= NAIVE_COUNT_CAP and not cm):
         small = p <= EXHAUSTIVE_COUNT_MAX
-        exact = point_count_naive(E) if small else point_count_bsgs(E, rng=rng)
+        exact = point_count_naive(E) if small else point_count_bsgs(E)
         if exact != N:
             return False
         if scalar_mul(E, random_point(E, rng), N) is not None:
@@ -250,9 +250,7 @@ def _candidates(n: int, j: int, d: int):
             yield curve(n, 0, coef) if d == 3 else curve(n, coef, 0)
 
 
-def construct_curve(
-    n: int, N: int, *, jobs: int = 1, seed=0, cache_dir=None
-) -> CurveResult:
+def construct_curve(n: int, N: int, *, jobs: int = 1, cache_dir=None) -> CurveResult:
     """A verified curve over F_n with exactly N points.
 
     j is the smallest root of the class polynomial H_D mod n. For d > 4
@@ -279,11 +277,8 @@ def construct_curve(
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rng = task_rng(seed, "verify", n)
     cm = disc.d > 4  # d = 3 and d = 4 leave six or four possible orders
-    E = next(
-        (E for E in _candidates(n, j, disc.d) if verify_order(E, N, rng=rng, cm=cm)), None
-    )
+    E = next((E for E in _candidates(n, j, disc.d) if verify_order(E, N, cm=cm)), None)
     if E is None:
         raise Ambiguous(f"no candidate curve with j = {j} has {N} points")
     timings["construct"] = time.perf_counter() - t0

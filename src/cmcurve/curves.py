@@ -2,8 +2,9 @@
 
 Curves are y^2 = x^3 + a4 x + a6 over F_p with p > 3. Points are either
 None (the point at infinity) or affine (x, y) tuples. Everything here is a
-pure function of its arguments; randomised operations take an explicit
-random.Random so runs are reproducible.
+pure function of its arguments: random_point draws from the stream it is
+given, and the other randomised operations from a fixed stream keyed on
+the curve (arith.task_rng), so every result is reproducible.
 
 Scalar multiplication runs in Jacobian coordinates with one inversion back
 to affine: over the binary digits of short scalars and over the width-4
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arith import legendre, smallest_nonresidue, sqrt_mod_p
+from .arith import legendre, smallest_nonresidue, sqrt_mod_p, task_rng
 from .errors import (
     Ambiguous,
     InvariantViolation,
@@ -411,16 +412,17 @@ def _annihilators_in_window(
     return sorted(out)
 
 
-def point_count_bsgs(E: CurveModP, *, rng: random.Random | None = None) -> int:
+def point_count_bsgs(E: CurveModP) -> int:
     """#E(F_p) by order-finding on random points.
 
     Candidate orders inside the Hasse interval are intersected across random
     points alternately drawn from E and its quadratic twist (a candidate m
-    for E pins the twist to order 2p + 2 - m) until one survives.
+    for E pins the twist to order 2p + 2 - m) until one survives. The points
+    come from the fixed stream task_rng(0, "count", p, j); the count is
+    exact whatever they are.
     """
-    if rng is None:
-        rng = random.Random(0)
     p = E.p
+    rng = task_rng(0, "count", p, E.j)
     lo, hi = hasse_interval(p)
     width = hi - lo + 1
     twist = quadratic_twist(E, smallest_nonresidue(p))
@@ -450,20 +452,20 @@ def point_count_bsgs(E: CurveModP, *, rng: random.Random | None = None) -> int:
     )
 
 
-def order_filter(E: CurveModP, t: int, *, rng: random.Random | None = None) -> bool:
+def order_filter(E: CurveModP, t: int) -> bool:
     """Cheap test of whether #E can be p + 1 - t or p + 1 + t.
 
     For each of four sampled points P we compare [p+1]P against [t]P:
     equality means p + 1 - t annihilates P, opposition means p + 1 + t
     does. False is exact: a sample not annihilated by p + 1 - t and one not
     annihilated by p + 1 + t rule both orders out. True only means neither
-    is ruled out; an exact count must confirm it.
+    is ruled out; an exact count must confirm it. The points come from
+    the fixed stream task_rng(0, "flt", p, j).
     """
     p = E.p
     if not 0 < t <= math.isqrt(4 * p):
         raise ValueError("trace must satisfy 0 < t <= 2*sqrt(p)")
-    if rng is None:
-        rng = random.Random(0)
+    rng = task_rng(0, "flt", p, E.j)
     minus_ok = plus_ok = True
     for _ in range(4):
         x, y = random_point(E, rng)

@@ -396,7 +396,7 @@ def test_construct_curve_counts_no_cm_candidate_below_the_naive_cap(
     for N in (n + 1 - t, n + 1 + t):
         E = construct_curve(n, N, cache_dir=shard_cache).curve
         assert counted == []
-        assert point_count_bsgs(E, rng=task_rng(0)) == N
+        assert point_count_bsgs(E) == N
 
 
 # (n, N) for 20 fundamental d > 4, d != 7 (mod 8), with 2^11 <= n < 2^26:
@@ -416,7 +416,7 @@ POINT_RULE_PAIRS = [
 def test_construct_curve_by_points_matches_the_exact_count(shard_cache, n, N):
     assert derive_cm_params(n, N).disc.d > 4
     E = construct_curve(n, N, cache_dir=shard_cache).curve
-    assert point_count_bsgs(E, rng=task_rng(0)) == N
+    assert point_count_bsgs(E) == N
 
 
 def test_construct_curve_refuses_a_huge_discriminant_up_front():
@@ -475,7 +475,7 @@ def test_verify_order_large_field_sampling_path():
     # prime above NAIVE_COUNT_CAP = 2^26: only the sampling route is taken
     p = 67108879
     E = curve_from_j(2, p)
-    n_true = point_count_bsgs(E, rng=task_rng(0))
+    n_true = point_count_bsgs(E)
     assert n_true == 67112568
     assert verify_order(E, n_true)
     assert not verify_order(E, 2 * p + 2 - n_true)
@@ -489,7 +489,7 @@ def test_verify_order_cm_needs_a_point_that_tells_the_orders_apart(monkeypatch):
     real = cm.random_point
     for p in (1000003, 67108879):
         E = curve(p, 1, p - 2)
-        n_true = point_count_bsgs(E, rng=task_rng(0))
+        n_true = point_count_bsgs(E)
         other = 2 * p + 2 - n_true
         assert n_true % 2 == 0 and n_true != other
         for N, verdict in ((other, False), (n_true, True)):

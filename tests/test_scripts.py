@@ -33,3 +33,10 @@ def test_big_classgroup_demo(tmp_path, monkeypatch, capsys):
     assert "building the shard at p = 5417" in out
     assert "constant = 1560" in out
     assert (tmp_path / "D59" / "p5417.json").exists()
+
+    monkeypatch.setattr(demo, "N_TARGET", 141767)
+    monkeypatch.setattr(sys, "argv", ["big_classgroup_demo.py", "--full-lift"])
+    demo.main()
+    out = capsys.readouterr().out
+    assert "full pipeline: curve over F_141767 with 142521 points" in out
+    assert "curve: y^2 = x^3 + 11187x + 7458 over F_141767 (j = 4160)" in out
