@@ -103,11 +103,16 @@ def export(rev: str, into: Path) -> Path:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
+    """One benchmark run in tree. It neither reads nor writes bytecode (the
+    cache prefix is a fresh empty directory), so both sides compile their
+    sources alike, whatever __pycache__ a tree holds."""
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, env=env,
+        )
     lines = proc.stdout.strip().splitlines()
     run = f"{tree}: {workload} seed {seed} (exit code {proc.returncode})"
     stderr_tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])

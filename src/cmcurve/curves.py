@@ -419,7 +419,10 @@ def point_count_bsgs(E: CurveModP) -> int:
     points alternately drawn from E and its quadratic twist (a candidate m
     for E pins the twist to order 2p + 2 - m) until one survives. The points
     come from the fixed stream task_rng(0, "count", p, j); the count is
-    exact whatever they are.
+    exact whatever they are. On some small fields two orders survive every
+    point and it raises Ambiguous, as at (p, j) = (11, 2), (17, 10) and
+    (23, 6); the library and `count` count p <= EXHAUSTIVE_COUNT_MAX
+    exhaustively instead.
     """
     p = E.p
     rng = task_rng(0, "count", p, E.j)

@@ -1,8 +1,10 @@
 """Dense polynomials mod m, lowest degree first: PolyModM, the product of
-linear factors, and root finding over F_n for an odd prime n. Multiplying
-mod a large f uses Kronecker substitution (Harvey, J. Symb. Comp. 44,
-2009); roots are split as in Cantor & Zassenhaus, Math. Comp. 36 (1981),
-down to quadratics, which take the quadratic formula.
+linear factors, and root finding over F_n for an odd prime n. Products mod
+f pack each residue into one integer (Kronecker substitution; Harvey, J.
+Symb. Comp. 44, 2009) and reduce every slot at once by Barrett's method
+(Menezes et al., Handbook of Applied Cryptography, Alg. 14.42); roots are
+split as in Cantor & Zassenhaus, Math. Comp. 36 (1981), down to
+quadratics, which take the quadratic formula.
 """
 
 from __future__ import annotations
@@ -12,12 +14,6 @@ from operator import mul
 
 from .arith import sqrt_mod_p, task_rng
 from .errors import InvariantViolation
-
-# ms per find_all_roots of degree d, all lazy / all Kronecker, best of 12 on
-# a 2-core VM: 27-bit n, d = 7: 1.51 / 1.72, d = 8: 2.14 / 2.18; 64-bit, d = 5:
-# 4.28 / 4.65, d = 8: 7.68 / 7.22; 256-bit, d = 8: 47.4 / 55.3, d = 9: 72.3 /
-# 68.9. Kronecker-only cost construct_warm (d = 3, 5, 7) 8 % in wall_s.
-KRONECKER_MIN_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -100,69 +96,73 @@ def _pdiv_exact(a, b, n):
     return q
 
 
+# One kernel for every d and n: on a 2-core VM (X + c)^((n-1)/2) mod f took 0.06 ms at
+# 27 bits and d = 7, 2.3 at d = 96, 8.3 at 256 bits and d = 7, as fast or faster than the
+# two paths it replaced, but 63 at 256 bits and d = 24 (51 before), which no workload runs.
 class _ModF:
     """Arithmetic in F_n[X]/(f) for f of degree d >= 1, any leading
-    coefficient; residues are lists of exactly d reduced coefficients.
-    Products are lazy below KRONECKER_MIN_DEGREE, Kronecker from there on."""
+    coefficient, on packed residues: one int, coefficient i in slot i of
+    `width` bits, every slot below 3n.
+
+    A slot sums at most d products of two slots and 3dn^2 more (6n^2 + 3n
+    in a multiply by X + c), below 2^s = 2^bitlen(12 d n^2), and width
+    also holds a slot's Barrett quotient product, so no slot carries into
+    the next and _red takes all to [0, 3n) at once, its quotient at most 2
+    short. Products mod the monic f are polynomial Barrett: for H the top
+    d - 1 slots and mu = X^(2d-2) div f, Q = (H mu) div X^(d-2) is the
+    exact quotient, and the result is the low d slots minus Q f.
+    """
 
     def __init__(self, f, n):
         d, lead_inv = len(f) - 1, pow(f[-1], -1, n)
-        self.n, self.d = n, d
-        self.negf = [(-c * lead_inv) % n for c in f[:-1]]  # X^d = negf
-        self.rows = None
-        if d >= KRONECKER_MIN_DEGREE:
-            # a slot holds d products of two residues plus d - 1 more
-            self.slot = (2 * n.bit_length() + (2 * d).bit_length() + 7) // 8
-            row, rows = self.negf, [self._pack(self.negf)]
-            for _ in range(d - 2):  # X^(d + j) mod f for j = 1 .. d - 2
-                row = self.mul_linear(row, 0)
-                rows.append(self._pack(row))
-            self.rows = rows
+        b, s = n.bit_length(), (12 * d * n * n).bit_length()
+        w = max(s, 2 * (s - b + 1)) + 1
+        self.n, self.d, self.width = n, d, w
+        self.shift, self.qbits, self.barrett = b - 1, s - b + 1, (1 << s) // n
+        self.mask = ((1 << self.qbits) - 1) * sum(1 << (i * w) for i in range(2 * d - 1))
+        self.low, self.qshift = (1 << (d * w)) - 1, max(d - 2, 0) * w
+        rev = [c * lead_inv % n for c in reversed(f)]  # rev(f) of the monic f
+        inv = [1]  # rev(f)^-1 mod X^(d-1), the coefficients of mu reversed
+        for k in range(1, d - 1):
+            inv.append(-sum(map(mul, rev[1 : k + 1], reversed(inv))) % n)
+        self.mu = self.pack(inv[::-1] if d > 1 else [])
+        self.negf = self.pack([(-c) % n for c in reversed(rev[1:])])  # X^d = negf
+
+    def pack(self, a):
+        """The packed residue of at most d coefficients in [0, 3n)."""
+        if len(a) > self.d or any(not 0 <= c < 3 * self.n for c in a):
+            raise InvariantViolation(f"a packed residue holds {self.d} slots in [0, 3n)")
+        return sum(c << (i * self.width) for i, c in enumerate(a))
+
+    def unpack(self, a):
+        """The d coefficients of a packed residue, reduced mod n."""
+        d, n, w = self.d, self.n, self.width
+        slots = [(a >> (i * w)) & ((1 << w) - 1) for i in range(d)]
+        if a >> (d * w) or max(slots) >= 3 * n:
+            raise InvariantViolation(f"a packed residue mod {n} left its {d} slots")
+        return [c % n for c in slots]
+
+    def _red(self, a):
+        """a, every slot below 2^s, with every slot taken to [0, 3n)."""
+        q = ((((a >> self.shift) & self.mask) * self.barrett) >> self.qbits) & self.mask
+        return a - q * self.n
 
     def mul(self, a, b):
-        return self._kronecker(a, b) if self.rows else self._lazy(a, b)
-
-    def _pack(self, a):
-        w = self.slot
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-
-    def _slots(self, data):
-        """The slots of a byte string, each reduced mod n."""
-        w, n = self.slot, self.n
-        return [int.from_bytes(data[i : i + w], "little") % n for i in range(0, len(data), w)]
-
-    def _kronecker(self, a, b):
-        """a * b mod f: one big product, its top d - 1 slots folded by rows."""
-        d, w = self.d, self.slot
-        pa = self._pack(a)
-        data = (pa * (pa if a is b else self._pack(b))).to_bytes((2 * d - 1) * w, "little")
-        low = int.from_bytes(data[: d * w], "little")
-        low += sum(map(mul, self._slots(data[d * w :]), self.rows))
-        return self._slots(low.to_bytes(d * w, "little"))
-
-    def _lazy(self, a, b):
-        """a * b mod f: raw products, the top folded by X^d = negf, reduced once."""
-        d, n, negf = self.d, self.n, self.negf
-        out = [0] * (2 * d - 1)
-        for i, ca in enumerate(a):
-            for k, cb in enumerate(b):
-                out[i + k] += ca * cb
-        for k in range(2 * d - 2, d - 1, -1):
-            q = out[k] % n
-            for i, c in enumerate(negf):
-                out[k - d + i] += q * c
-        return [c % n for c in out[:d]]
+        """a * b mod f."""
+        p = a * b
+        h = self._red(p >> (self.d * self.width))
+        q = self._red((h * self.mu) >> self.qshift)
+        return self._red((p & self.low) + ((q * self.negf) & self.low))
 
     def mul_linear(self, a, c):
-        """a * (X + c) mod f: one fold step."""
-        top, n = a[-1], self.n
-        out = [c * a[0]] + [x + c * y for x, y in zip(a, a[1:])]
-        return [(o + top * g) % n for o, g in zip(out, self.negf)]
+        """a * (X + c) mod f for c in [0, n): one fold step."""
+        top = a >> ((self.d - 1) * self.width)
+        return self._red(((a << self.width) & self.low) + c * a + top * self.negf)
 
     def pow_linear(self, c, e):
-        """(X + c)^e mod f, left to right: a squaring per bit of e and a
-        multiply by X + c per set bit."""
-        r = [1] + [0] * (self.d - 1)
+        """(X + c)^e mod f, packed, left to right: a squaring per bit of e
+        and a multiply by X + c per set bit."""
+        r = 1
         for bit in bin(e)[2:]:
             r = self.mul(r, r)
             if bit == "1":
@@ -175,9 +175,9 @@ def find_all_roots(poly: PolyModM, n: int) -> list[int]:
 
     gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
     raised to (n-1)/2 then split that product of linear factors. The first
-    shift's power W also gives X^n = (X + c) W^2 - c, since (X + c)^n =
-    X^n + c in F_n[X], and W mod g is the split's first attempt. The shifts,
-    from task_rng(0, "roots", n), change the work but never the roots.
+    shift's power W also gives X^n - X = (X + c) W^2 - (X + c), since
+    (X + c)^n = X^n + c in F_n[X], and W mod g is the split's first attempt.
+    The shifts, from task_rng(0, "roots", n), change the work but never the roots.
     """
     if poly.modulus != n:
         raise ValueError("polynomial modulus does not match n")
@@ -192,13 +192,11 @@ def find_all_roots(poly: PolyModM, n: int) -> list[int]:
     c = rng.randrange(n)
     ring = _ModF(f, n)
     w = ring.pow_linear(c, (n - 1) // 2)
-    xq, x = ring.mul_linear(ring.mul(w, w), c), ring.pow_linear(0, 1)
-    xq[0] -= c
-    del ring  # its fold rows need not live through the split
-    g = _pgcd([(a - b) % n for a, b in zip(xq, x)], f, n)
+    xq, xc = (ring.unpack(ring.mul_linear(v, c)) for v in (ring.mul(w, w), 1))
+    g = _pgcd([(a - b) % n for a, b in zip(xq, xc)], f, n)
     if len(g) <= 1:
         return []
-    roots = _split_roots(g, n, rng, _pdivmod(w, g, n)[1])
+    roots = _split_roots(g, n, rng, _pdivmod(ring.unpack(w), g, n)[1])
     roots.sort()
     if any(poly.evaluate(r) != 0 for r in roots):
         raise InvariantViolation(f"split produced a non-root mod {n}")
@@ -222,11 +220,10 @@ def _split_roots(g, n, rng, w=None) -> list[int]:
     while True:
         if w is None:
             ring = ring or _ModF(g, n)
-            w = ring.pow_linear(rng.randrange(n), (n - 1) // 2)
+            w = ring.unpack(ring.pow_linear(rng.randrange(n), (n - 1) // 2))
         w[0] = (w[0] - 1) % n
         h1 = _pgcd(w, g, n)
         if 0 < len(h1) - 1 < deg:
             break
         w = None
-    del ring  # each level's fold rows die before the next level's are built
     return _split_roots(h1, n, rng) + _split_roots(_pdiv_exact(g, h1, n), n, rng)

@@ -2,6 +2,8 @@
 command line."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -115,3 +117,23 @@ def test_a_run_without_a_json_last_line_names_it_and_keeps_stderr(tmp_path, stdo
     assert message.startswith(f"{tmp_path}: construct_warm seed 11 (exit code 3)")
     assert message.endswith("line 99\nTraceback: boom")
     assert "line 60" not in message  # only the tail of stderr
+
+
+def test_both_sides_run_without_cached_bytecode(tmp_path, monkeypatch):
+    # a tree's __pycache__ must not make one side import faster: every run
+    # writes no bytecode and looks for it under a fresh, empty prefix
+    module = _module()
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        env = kwargs["env"]
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], prefix, list(prefix.iterdir())))
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"correct": True}) + "\n", "")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert module.run_once(tmp_path, "lift_h96", 11, 0.5) == {"correct": True}
+    assert [(flag, listed) for flag, _, listed in seen] == [("1", []), ("1", [])]
+    assert seen[0][1] != seen[1][1]
+    assert not any(prefix.exists() for _, prefix, _ in seen)

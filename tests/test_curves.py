@@ -30,7 +30,7 @@ from cmcurve.curves import (
     residue_table,
     scalar_mul,
 )
-from cmcurve.errors import NotANonResidue, SpecialJ, TooLarge
+from cmcurve.errors import Ambiguous, NotANonResidue, SpecialJ, TooLarge
 
 
 def brute_count(p, a4, a6):
@@ -153,6 +153,15 @@ def test_bsgs_equals_exhaustive_for_every_j_above_the_switch():
     for E in models:
         for C in (E, quadratic_twist(E, c)):
             assert point_count_bsgs(C) == point_count_naive(C)
+
+
+def test_bsgs_is_ambiguous_on_a_small_field():
+    # E and its twist over F_11 have so small an exponent that two orders
+    # in the Hasse interval annihilate every point; the count is 16
+    E = curve_from_j(2, 11)
+    with pytest.raises(Ambiguous, match="2 candidate orders remain after 32 points"):
+        point_count_bsgs(E)
+    assert point_count_naive(E) == 16
 
 
 def test_bsgs_golden_curves():

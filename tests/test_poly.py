@@ -1,11 +1,12 @@
 """The F_n[x] arithmetic of root finding against schoolbook references.
 
-Both multiply paths run: degrees below KRONECKER_MIN_DEGREE take the lazy
-one, the rest the Kronecker one. Coefficients at n - 1 put the most into
-every slot; for n of 2 * 8k bits the slot has no spare padding, so a slot
-sized without room for the carries overflows.
+The ring packs a residue into one integer of d slots, each below 3n.
+Operands with every slot at 3n - 1, the invariant's maximum, put the most
+into every slot of a product; a slot sized without room for them carries
+into its neighbour and the result comes out wrong.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -14,12 +15,11 @@ from cmcurve import poly
 from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
 from cmcurve.classpoly import PolyModM, poly_from_roots
 from cmcurve.cm import find_all_roots
-from cmcurve.poly import (
-    KRONECKER_MIN_DEGREE, _ModF, _pdiv_exact, _pgcd, _ptrim, _split_roots,
-)
+from cmcurve.errors import InvariantViolation
+from cmcurve.poly import _ModF, _pdiv_exact, _pgcd, _ptrim, _split_roots
 
-DEGREES = sorted({1, 2, 3, 5, KRONECKER_MIN_DEGREE - 1, KRONECKER_MIN_DEGREE,
-                  KRONECKER_MIN_DEGREE + 1, 17, 32, 61, 96, 130})
+BITS = [2, 3, 28, 61, 64, 256]
+DEGREES = [1, 2, 3, 4, 5, 7, 8, 9, 13, 17, 32, 61, 96, 130]
 
 
 def school_mulmod(a, b, f, n):
@@ -54,34 +54,64 @@ def random_prime(bits, rng):
             return m
 
 
-@pytest.mark.parametrize("bits", [2, 28, 61, 64, 256])
-def test_mul_and_mul_linear_match_schoolbook(bits):
-    rng = random.Random(bits)
+def ring_cases(bits, seed):
+    """(n, f, ring) over DEGREES: f random, then f = [n - 1] * (d + 1)."""
+    rng = random.Random(seed)
     for d in DEGREES:
-        n = 3 if bits == 2 else random_prime(bits, rng)
+        n = {2: 3, 3: 7}.get(bits) or random_prime(bits, rng)
         for f in ([rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)],
                   [n - 1] * (d + 1)):
-            ring = _ModF(f, n)
-            top = [n - 1] * d
-            a = [rng.randrange(n) for _ in range(d)]
-            b = [rng.randrange(n) for _ in range(d)]
-            for x, y in ((top, top), (a, b), (a, top)):
-                assert ring.mul(x, y) == school_mulmod(x, y, f, n), (bits, d)
-            assert ring.mul(top, top) == ring.mul(top, list(top))
-            c = rng.randrange(n)
-            assert ring.mul_linear(a, c) == school_mulmod(a, [c, 1], f, n)
-            assert ring.mul_linear(top, n - 1) == school_mulmod(top, [n - 1, 1], f, n)
+            yield rng, n, f, _ModF(f, n)
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_mul_and_mul_linear_match_schoolbook(bits):
+    for rng, n, f, ring in ring_cases(bits, bits):
+        d = len(f) - 1
+        a = [rng.randrange(n) for _ in range(d)]
+        b = [rng.randrange(n) for _ in range(d)]
+        pa, pb = ring.pack(a), ring.pack(b)
+        assert ring.unpack(ring.mul(pa, pb)) == school_mulmod(a, b, f, n), (bits, d)
+        assert ring.unpack(ring.mul(pa, pa)) == school_mulmod(a, a, f, n), (bits, d)
+        c = rng.randrange(n)
+        assert ring.unpack(ring.mul_linear(pa, c)) == school_mulmod(a, [c, 1], f, n)
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_worst_slots_stay_below_3n_and_inside_d_slots(bits):
+    # every slot at 3n - 1 = n - 1 (mod n): the results are right, every
+    # slot is below 3n and nothing is set above slot d - 1
+    for _, n, f, ring in ring_cases(bits, 300 + bits):
+        d, w = len(f) - 1, ring.width
+        worst, top = ring.pack([3 * n - 1] * d), [n - 1] * d
+        for got, want in ((ring.mul(worst, worst), school_mulmod(top, top, f, n)),
+                          (ring.mul(worst, ring.pack(top)), school_mulmod(top, top, f, n)),
+                          (ring.mul_linear(worst, n - 1), school_mulmod(top, [n - 1, 1], f, n))):
+            slots = [(got >> (i * w)) & ((1 << w) - 1) for i in range(d)]
+            assert got >> (d * w) == 0, (bits, d)
+            assert max(slots) < 3 * n, (bits, d)
+            assert [c % n for c in slots] == want, (bits, d)
+        # a residue outside its slots is refused, never reduced
+        with pytest.raises(InvariantViolation):
+            ring.pack([3 * n] + [0] * (d - 1))
+        with pytest.raises(InvariantViolation):
+            ring.pack([0] * (d + 1))
+        with pytest.raises(InvariantViolation):
+            ring.unpack(worst + (1 << (d * w)))
+        with pytest.raises(InvariantViolation):
+            ring.unpack(worst + 1)
 
 
 @pytest.mark.parametrize("bits", [3, 32, 256])
 def test_pow_linear_matches_schoolbook(bits):
     rng = random.Random(100 + bits)
-    for d in (1, 2, KRONECKER_MIN_DEGREE - 1, KRONECKER_MIN_DEGREE, 13):
+    for d in (1, 2, 7, 8, 13):
         n = 7 if bits == 3 else random_prime(bits, rng)
         f = [rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)]
         ring = _ModF(f, n)
         for c, e in ((0, n), (rng.randrange(n), (n - 1) // 2), (n - 1, 0), (5, 1)):
-            assert ring.pow_linear(c, e) == school_pow_linear(c, e, f, n), (bits, d, e)
+            got = ring.unpack(ring.pow_linear(c, e))
+            assert got == school_pow_linear(c, e, f, n), (bits, d, e)
 
 
 def brute_roots(coeffs, n):
@@ -95,6 +125,29 @@ def test_find_all_roots_against_brute_force():
             d = rng.randrange(1, 12)
             coeffs = [rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)]
             assert find_all_roots(PolyModM(n, tuple(coeffs)), n) == brute_roots(coeffs, n)
+
+
+# the SHA-256 of the grid's (n, f, roots), as the lazy and Kronecker
+# products that the packed ring replaced computed them
+GRID_DIGEST = "07fdc77c720025064fa38eeff2808a54666391ec06941ba02ee681e1ebc2d1b6"
+
+
+def test_find_all_roots_digest_over_a_fixed_grid():
+    # per modulus, at each degree: split with distinct roots, split with
+    # repeated roots, and random
+    rng = random.Random("grid")
+    digest = hashlib.sha256()
+    for bits, degrees in ((11, (1, 2, 3, 8, 30)), (27, (3, 7, 8, 24, 96)),
+                          (64, (2, 5, 9, 16)), (256, (3, 7, 8))):
+        n = random_prime(bits, rng)
+        for d in degrees:
+            split = [rng.randrange(n) for _ in range(d)]
+            repeated = (split[: (d + 1) // 2] * 2)[:d]
+            rand = [rng.randrange(n) for _ in range(d)] + [rng.randrange(1, n)]
+            for f in (poly_from_roots(split, n), poly_from_roots(repeated, n),
+                      PolyModM(n, tuple(rand))):
+                digest.update(repr((n, f.coeffs, find_all_roots(f, n))).encode())
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 def test_find_all_roots_repeated_none_and_linear():
@@ -176,7 +229,8 @@ def test_find_all_roots_hands_the_first_power_mod_g_to_the_split(n, monkeypatch)
     monkeypatch.setattr(poly, "_split_roots", spy)
     assert find_all_roots(PolyModM(n, tuple(f)), n) == roots
     c = task_rng(0, "roots", n).randrange(n)
-    assert handed[0] == (g, _ptrim(_ModF(g, n).pow_linear(c, (n - 1) // 2)))
+    ring = _ModF(g, n)
+    assert handed[0] == (g, _ptrim(ring.unpack(ring.pow_linear(c, (n - 1) // 2))))
 
 
 @pytest.mark.parametrize("n", [103, 10007, 97, 7681, (1 << 255) - 19])
