@@ -55,9 +55,9 @@ def is_prime(m: int) -> bool:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: one of -1, 0, +1.
-
-    The binary Jacobi-symbol algorithm, with no exponentiation: strip the
+    """Jacobi symbol (a/p) for any odd modulus p, one of -1, 0, +1: the
+    Legendre symbol for a prime p. smallest_nonresidue relies on it to
+    refuse p = 9, where no z has symbol -1. No exponentiation: strip the
     factors of 2 by (2/p) = -1 for p = 3, 5 (mod 8), swap the pair by
     quadratic reciprocity and reduce, until a = 0.
     """

@@ -12,21 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import classpoly, cm, crt, curves, primegen, quadforms
 from .arith import is_prime
 from .errors import DomainError
-
-_ENV_CACHE = "CM_CACHE_DIR"
-
-
-def _cache_dir(args) -> Path | None:
-    """--cache, overridden by the CM_CACHE_DIR environment variable."""
-    cache = os.environ.get(_ENV_CACHE) or args.cache
-    return Path(cache) if cache else None
 
 
 def _check_prime(name: str, m: int) -> None:
@@ -91,9 +82,7 @@ def _find_crt_prime(disc, p: int) -> primegen.CrtPrime:
 def _cmd_hdmodp(args, out) -> int:
     disc = quadforms.discriminant(args.D)
     cp = _find_crt_prime(disc, args.p)
-    [shard] = classpoly.build_shards(
-        disc, [cp], jobs=args.jobs, cache_dir=_cache_dir(args)
-    )
+    [shard] = classpoly.build_shards(disc, [cp], jobs=args.jobs, cache_dir=args.cache)
     _emit(classpoly.shard_doc(shard), args.json, out)
     return 0
 
@@ -158,7 +147,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_construct(args, out) -> int:
-    result = cm.construct_curve(args.n, args.N, jobs=args.jobs, cache_dir=_cache_dir(args))
+    result = cm.construct_curve(args.n, args.N, jobs=args.jobs, cache_dir=args.cache)
     doc = {
         "n": str(args.n),
         "N": str(args.N),

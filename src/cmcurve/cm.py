@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .arith import is_prime, smallest_nonresidue, task_rng
+from .arith import is_prime, task_rng
 from .classpoly import Shard, build_shards, check_jobs, gamma2_poly
 from .crt import build_basis, crt_mod_n
 from .curves import (
@@ -71,8 +71,6 @@ def derive_cm_params(n: int, N: int) -> CmParams:
     """Validate (n, N) and derive the trace and fundamental discriminant."""
     if n <= 3 or not is_prime(n):
         raise ValueError("n must be a prime greater than 3")
-    if N < 0:
-        raise OutsideHasse("target order must be nonnegative")
     lo, hi = hasse_interval(n)
     if not lo <= N <= hi:
         raise OutsideHasse(f"N = {N} outside [{lo}, {hi}] for n = {n}")
@@ -190,7 +188,7 @@ def find_root_mod_n(poly: PolyModM, n: int, *, power: int = 1) -> int:
 
 
 def verify_order(E: CurveModP, N: int, *, cm=False) -> bool:
-    """Check #E(F_p) = N.
+    """Check #E(F_p) = N; an N outside the Hasse interval raises OutsideHasse.
 
     An exact count decides up to EXHAUSTIVE_COUNT_MAX, and without cm up
     to NAIVE_COUNT_CAP. Above, random points must all be annihilated by N
@@ -209,7 +207,7 @@ def verify_order(E: CurveModP, N: int, *, cm=False) -> bool:
     p = E.p
     lo, hi = hasse_interval(p)
     if not lo <= N <= hi:
-        raise ValueError("order to verify must lie in the Hasse interval")
+        raise OutsideHasse(f"N = {N} outside [{lo}, {hi}] for n = {p}")
     rng = task_rng(0, "verify", p)
     if p <= EXHAUSTIVE_COUNT_MAX or (p <= NAIVE_COUNT_CAP and not cm):
         small = p <= EXHAUSTIVE_COUNT_MAX
@@ -244,7 +242,7 @@ def _candidates(n: int, j: int, d: int):
     if d > 4:
         E = curve_from_j(j, n)
         yield E
-        yield quadratic_twist(E, smallest_nonresidue(n))
+        yield quadratic_twist(E)
     else:
         for coef in range(1, 200):
             yield curve(n, 0, coef) if d == 3 else curve(n, coef, 0)

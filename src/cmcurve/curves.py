@@ -25,7 +25,6 @@ from .arith import legendre, smallest_nonresidue, sqrt_mod_p, task_rng
 from .errors import (
     Ambiguous,
     InvariantViolation,
-    NotANonResidue,
     NotASquare,
     SpecialJ,
     TooLarge,
@@ -307,11 +306,11 @@ def random_point(E: CurveModP, rng: random.Random) -> Point:
             pass
 
 
-def quadratic_twist(E: CurveModP, c: int) -> CurveModP:
-    """The twist (a4 c^2, a6 c^3); same j, order 2p + 2 - #E."""
+def quadratic_twist(E: CurveModP) -> CurveModP:
+    """The twist (a4 c^2, a6 c^3) by c = smallest_nonresidue(p); same j,
+    order 2p + 2 - #E. Every non-residue c gives an isomorphic curve."""
     p = E.p
-    if legendre(c, p) != -1:
-        raise NotANonResidue(f"{c} is a square mod {p}")
+    c = smallest_nonresidue(p)
     return CurveModP(p=p, a4=E.a4 * c * c % p, a6=E.a6 * pow(c, 3, p) % p, j=E.j)
 
 
@@ -428,7 +427,7 @@ def point_count_bsgs(E: CurveModP) -> int:
     rng = task_rng(0, "count", p, E.j)
     lo, hi = hasse_interval(p)
     width = hi - lo + 1
-    twist = quadratic_twist(E, smallest_nonresidue(p))
+    twist = quadratic_twist(E)
     candidates: list[int] | None = None
     for trial in range(_BSGS_MAX_POINTS):
         on_twist = trial & 1 == 1

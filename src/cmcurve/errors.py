@@ -37,10 +37,6 @@ class Ambiguous(DomainError):
     """Group order could not be pinned down to a single candidate."""
 
 
-class NotANonResidue(DomainError):
-    """Twisting constant is a square mod p."""
-
-
 class WrongCount(DomainError):
     """Number of surviving j-invariants differs from the class number.
 

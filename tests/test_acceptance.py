@@ -275,10 +275,10 @@ def test_criterion_09d_random_discriminant_shards():
 
 def test_criterion_09e_byte_identical_reruns(tmp_path):
     with criterion(9, "e: identical invocations give byte-identical output", 60.0):
-        env = dict(os.environ, PYTHONPATH=SRC, CM_CACHE_DIR=str(tmp_path))
+        env = dict(os.environ, PYTHONPATH=SRC)
         cmd = [
             sys.executable, "-m", "cmcurve",
-            "construct", "-n", str(N59), "-N", "142521", "--json",
+            "construct", "-n", str(N59), "-N", "142521", "--json", "--cache", str(tmp_path),
         ]
         runs = [
             subprocess.run(cmd, capture_output=True, env=env, check=True).stdout

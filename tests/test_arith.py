@@ -127,6 +127,7 @@ def test_sqrt_mod_p_every_residue_for_p_1_mod_4():
                     sqrt_mod_p(a, p)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("a, m", [(2, 9), (2, 25), (7, 21), (4, 15), (9, 15)])
 def test_sqrt_mod_p_refuses_a_composite_modulus(a, m):
     # 9 and 25 have no z with Jacobi symbol -1, so the search for a

@@ -75,6 +75,7 @@ def test_polymodm_validation():
     assert PolyModM(modulus=7, coeffs=()).degree == -1
 
 
+@pytest.mark.guard
 def test_find_j_invariants_golden_rows():
     disc = discriminant(-59)
     assert find_j_invariants(disc, CrtPrime(17, 3)) == [2, 7, 13]
@@ -133,6 +134,7 @@ def _kronecker(D: int, l: int) -> int:
     return legendre(D, l)
 
 
+@pytest.mark.guard
 def test_isogeny_table_against_torsion_and_trace_at_every_small_prime():
     # every j != 0, 1728 of every prime 5 <= p < 300: c2 is the number of
     # rational roots of the cubic, c3 that of psi_3 = 3x^4 + 6a4 x^2 +
@@ -204,11 +206,13 @@ def test_find_j_invariants_rejects_mismatched_prime():
         find_j_invariants(disc, CrtPrime(17, 5))
 
 
+@pytest.mark.guard
 def test_find_j_invariants_refuses_jobs_below_one():
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         find_j_invariants(discriminant(-59), CrtPrime(17, 3), jobs=0)
 
 
+@pytest.mark.guard
 def test_build_shards_refuses_jobs_below_one_on_a_cached_shard(tmp_path):
     disc, cp = discriminant(-59), CrtPrime(17, 3)
     build_shards(disc, [cp], cache_dir=tmp_path)
@@ -216,6 +220,7 @@ def test_build_shards_refuses_jobs_below_one_on_a_cached_shard(tmp_path):
         build_shards(disc, [cp], jobs=0, cache_dir=tmp_path)
 
 
+@pytest.mark.guard
 def test_wrong_count_aborts():
     # class number forced wrong: the scan still finds 3 roots, not 4
     fake = Discriminant(D=-59, d=59, h=4, log_B=41.3, forms=())
@@ -223,6 +228,7 @@ def test_wrong_count_aborts():
         find_j_invariants(fake, CrtPrime(17, 3))
 
 
+@pytest.mark.guard
 def test_build_shard_matches_golden_rows():
     disc = discriminant(-59)
     for p, (t, js, coeffs) in D59_TABLE.items():
@@ -276,6 +282,7 @@ def test_shard_cache_layout_and_reload(tmp_path):
     assert load_shard(path) == shard
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize(
     "j_set, t",
     [
@@ -316,6 +323,7 @@ def test_load_shard_checks_a_big_shard_without_an_inverse_table(tmp_path, monkey
     assert built == []
 
 
+@pytest.mark.guard
 def test_load_shard_rechecks_a_file_rewritten_in_place(tmp_path):
     # the check is remembered per file text: a forged file of the same
     # length and mtime at the same path must be checked afresh
@@ -338,6 +346,7 @@ def test_load_shard_rechecks_a_file_rewritten_in_place(tmp_path):
         load_shard(path)
 
 
+@pytest.mark.guard
 def test_build_shards_rejects_a_cached_shard_with_a_dropped_root(tmp_path):
     disc, cp = discriminant(-59), CrtPrime(3797, 123)
     shard = build_shard(disc, cp)
@@ -447,10 +456,12 @@ def _integer_class_poly(disc, gamma2, cache):
     ] + [1]
 
 
+@pytest.mark.guard
 def test_gamma2_class_polynomial_d59(oracle_cache):
     assert _integer_class_poly(discriminant(-59), True, oracle_cache) == G59_INT
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("D", ORACLE_D)
 def test_gamma2_class_polynomial_divides_h_of_x_cubed(D, oracle_cache):
     disc = discriminant(D)

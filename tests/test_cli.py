@@ -103,14 +103,16 @@ def test_text_mode_renders_the_json_document():
     assert out.splitlines()[:3] == ["D: -59", "h: 3", "forms: 1,1,15 3,-1,5 3,1,5"]
 
 
-def test_env_cache_dir_overrides_flag(tmp_path, monkeypatch):
+def test_cache_flag_ignores_the_environment(tmp_path, monkeypatch):
+    # CM_CACHE_DIR is tests/test_longrun.py's own variable; the CLI reads
+    # only --cache
     env_cache = tmp_path / "from_env"
     flag_cache = tmp_path / "from_flag"
     monkeypatch.setenv("CM_CACHE_DIR", str(env_cache))
     code, _ = run_cli("hdmodp", "-D", "-59", "-p", "17", "--cache", str(flag_cache))
     assert code == 0
-    assert (env_cache / "D59" / "p17.json").exists()
-    assert not flag_cache.exists()
+    assert (flag_cache / "D59" / "p17.json").exists()
+    assert not env_cache.exists()
 
 
 def test_lift_from_shard_directory(tmp_path):
@@ -149,8 +151,7 @@ def test_readme_cli_block_runs_as_written(tmp_path):
     block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
     example = readme.split("$ cmcurve construct -n 141767 -N 142521 --json\n", 1)[1]
     expected = json.loads("".join(example.split("```", 1)[0].split()))
-    env = {k: v for k, v in os.environ.items() if k != "CM_CACHE_DIR"}
-    env["PYTHONPATH"] = SRC
+    env = dict(os.environ, PYTHONPATH=SRC)
     script = f'set -e\ncmcurve() {{ "{sys.executable}" -m cmcurve "$@"; }}\n{block}'
     run = subprocess.run(
         ["bash", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
@@ -210,6 +211,14 @@ def test_construct_outside_hasse_exit_code(capsys):
     code, _ = run_cli("construct", "-n", "141767", "-N", "999")
     assert code == 1
     assert "OutsideHasse" in capsys.readouterr().err
+
+
+@pytest.mark.guard
+def test_verify_outside_hasse_exit_code(capsys):
+    # the same refusal as construct's
+    code, out = run_cli("verify", "-n", "7", "-N", "100", "--a4", "1", "--a6", "1")
+    assert code == 1 and out == ""
+    assert "OutsideHasse: N = 100 outside [3, 13] for n = 7" in capsys.readouterr().err
 
 
 def test_verify_command():

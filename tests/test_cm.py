@@ -22,7 +22,7 @@ from cmcurve.cm import (
     lift_shards,
     verify_order,
 )
-from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
+from cmcurve.arith import is_prime, task_rng
 from cmcurve.curves import (
     curve,
     curve_from_j,
@@ -62,6 +62,7 @@ def test_derive_cm_params_known_pairs():
     assert params.disc.h == 96
 
 
+@pytest.mark.guard
 def test_derive_cm_params_rejections():
     from math import isqrt
 
@@ -70,6 +71,8 @@ def test_derive_cm_params_rejections():
         derive_cm_params(n, n + 2 + 2 * isqrt(n) + 1)
     with pytest.raises(OutsideHasse):
         derive_cm_params(n, 999)
+    with pytest.raises(OutsideHasse):  # a negative N fails the interval check
+        derive_cm_params(n, -5)
     with pytest.raises(ZeroTrace):
         derive_cm_params(7, 8)
     with pytest.raises(NotFundamental):
@@ -78,6 +81,7 @@ def test_derive_cm_params_rejections():
         derive_cm_params(15, 16)  # composite n
 
 
+@pytest.mark.guard
 def test_derive_cm_params_rejects_a_ramified_n(monkeypatch):
     # no t != 0 gives a d that n divides; a stand-in discriminant must
     # still be refused by an explicit check, which python -O keeps
@@ -166,6 +170,7 @@ def test_construct_curve_special_j1728():
     assert point_count_naive(result.curve) == 2
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize(
     "n, N, jobs", [(5, 2, 0), (141767, 142521, -3)], ids=["d4", "D59"]
 )
@@ -310,7 +315,7 @@ def test_construct_curve_raises_ambiguous_when_neither_branch_verifies(
     with pytest.raises(Ambiguous):
         construct_curve(141767, 142521, cache_dir=shard_cache)
     E = curve_from_j(4160, 141767)
-    assert tried == [E, quadratic_twist(E, smallest_nonresidue(141767))]
+    assert tried == [E, quadratic_twist(E)]
 
 
 # Mutants of construct_curve above NAIVE_COUNT_CAP, where verify_order
@@ -320,6 +325,7 @@ T51 = 6074001029
 MUTANT_PAIRS = [(-59, *BOTH_SIGNS[0][:2]), (-51, (T51 * T51 + 51) // 4, T51)]
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("D, n, t", MUTANT_PAIRS, ids=["D59", "D51"])
 def test_construct_curve_rejects_a_j_that_is_no_root(shard_cache, monkeypatch, D, n, t):
     real = cm.find_root_mod_n
@@ -330,6 +336,7 @@ def test_construct_curve_rejects_a_j_that_is_no_root(shard_cache, monkeypatch, D
         construct_curve(n, n + 1 - t, cache_dir=shard_cache)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("D, n, t", MUTANT_PAIRS, ids=["D59", "D51"])
 def test_construct_curve_rejects_a_shard_residue_off_by_one(
     shard_cache, monkeypatch, D, n, t
@@ -351,12 +358,13 @@ def test_construct_curve_rejects_a_shard_residue_off_by_one(
         construct_curve(n, n + 1 - t, cache_dir=shard_cache)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("D, n, t", MUTANT_PAIRS, ids=["D59", "D51"])
 def test_construct_curve_rejects_the_wrong_twist_alone(shard_cache, monkeypatch, D, n, t):
     N = n + 1 - t
     result = construct_curve(n, N, cache_dir=shard_cache)
     E = curve_from_j(result.j, n)
-    wrong = quadratic_twist(E, smallest_nonresidue(n)) if result.curve == E else E
+    wrong = quadratic_twist(E) if result.curve == E else E
     monkeypatch.setattr(cm, "_candidates", lambda n, j, d: iter([wrong]))
     with pytest.raises(Ambiguous):
         construct_curve(n, N, cache_dir=shard_cache)
@@ -419,6 +427,7 @@ def test_construct_curve_by_points_matches_the_exact_count(shard_cache, n, N):
     assert point_count_bsgs(E) == N
 
 
+@pytest.mark.guard
 def test_construct_curve_refuses_a_huge_discriminant_up_front():
     # a 64-bit n with t = 12345: d = 4n - t^2 is some 7e19, whose trial
     # division alone would run for hours
@@ -501,17 +510,16 @@ def test_verify_order_cm_needs_a_point_that_tells_the_orders_apart(monkeypatch):
             assert next(draws, None) is None  # the pinned point was drawn
 
 
+@pytest.mark.guard
 def test_verify_order_requires_hasse():
     E = curve(141767, 39103, 120580)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideHasse, match=r"N = 5 outside \[141015, 142521\] for n = 141767"):
         verify_order(E, 5)
 
 
 def test_verify_twist_pair():
     E = curve(141767, 39103, 120580)
-    from cmcurve.arith import smallest_nonresidue
-
-    T = quadratic_twist(E, smallest_nonresidue(141767))
+    T = quadratic_twist(E)
     assert verify_order(T, 141015)
 
 
@@ -606,6 +614,7 @@ def _bumped(f):
     return PolyModM(f.modulus, ((f.coeffs[0] + 1) % f.modulus,) + f.coeffs[1:])
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
 @pytest.mark.parametrize("D", CERT_D)
 def test_certified_lift_equals_the_plain_lift(D, gamma2, cert_cache):
@@ -635,6 +644,7 @@ def test_certificate_builds_the_next_shard_of_the_search(cert_cache, monkeypatch
     assert result.primes_used == (17, 71, 197, 521)  # the spare is not among them
 
 
+@pytest.mark.guard
 def test_certificate_refuses_a_spare_from_the_basis(cert_cache):
     # a lift to a basis prime returns that prime's residue: no check at all
     shards = _cert_shards(-59, True, cert_cache)
@@ -642,6 +652,7 @@ def test_certificate_refuses_a_spare_from_the_basis(cert_cache):
         lift_shards(shards, CERT_N, gamma2=True, spare=shards[1])
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize(
     "Ds", [(-59, -83), (-83, -59), (-131, -59), (-59, -131)],
     ids=["D59-D83", "D83-D59", "D131-D59", "D59-D131"],
@@ -655,6 +666,7 @@ def test_lift_refuses_shards_of_two_discriminants(Ds, cert_cache):
         lift_shards(shards, CERT_N)
 
 
+@pytest.mark.guard
 def test_lift_refuses_a_spare_of_another_discriminant(cert_cache):
     # D = -83 has h = 3 like -59: its spare shard passes the degree check
     # and would fail the certificate with a misleading message
@@ -667,6 +679,7 @@ def test_lift_refuses_a_spare_of_another_discriminant(cert_cache):
         lift_shards(shards, CERT_N, spare=spare)
 
 
+@pytest.mark.guard
 def test_lift_refuses_shards_of_two_degrees(cert_cache):
     shards = _cert_shards(-59, False, cert_cache)
     js = shards[0].j_set[:2]
@@ -677,6 +690,7 @@ def test_lift_refuses_shards_of_two_degrees(cert_cache):
         lift_shards(shards, CERT_N)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
 def test_certificate_rejects_a_residue_off_by_one(gamma2, cert_cache, monkeypatch):
     shards = _cert_shards(-59, gamma2, cert_cache)
@@ -694,6 +708,7 @@ def test_certificate_rejects_a_residue_off_by_one(gamma2, cert_cache, monkeypatc
         lift_shards(shards, CERT_N, gamma2=gamma2, spare=spare)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("gamma2", [False, True], ids=["j", "gamma2"])
 def test_certificate_rejects_a_basis_cut_below_a_coefficient(gamma2, cert_cache):
     shards = _cert_shards(-59, gamma2, cert_cache)

@@ -58,6 +58,7 @@ def test_build_basis_single_modulus():
     assert basis.weights == (1,)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("epsilon", [0, 0.5, -1, math.nan], ids=["0", "half", "-1", "nan"])
 def test_build_basis_refuses_epsilon_outside_the_open_interval(epsilon):
     with pytest.raises(ValueError, match=re.escape("epsilon must be in (0, 1/2)")):
@@ -235,6 +236,7 @@ def test_fixed_point_error_stays_inside_budget():
             assert r == math.floor(exact + Fraction(1, 2)) == (z - x) // M
 
 
+@pytest.mark.guard
 def test_crt_mod_n_rejects_unreduced_residues():
     basis = build_basis([3, 5, 7], 11)
     with pytest.raises(ValueError, match="residue 5 not reduced mod 5"):
@@ -245,6 +247,7 @@ def test_crt_mod_n_rejects_unreduced_residues():
         crt_mod_n(basis, [2, 3])
 
 
+@pytest.mark.guard
 def test_crt_integer_refuses_in_order():
     # a length mismatch, then two moduli sharing a factor, named, then an
     # unreduced residue; no modulus at all and a modulus below 2 are

@@ -30,7 +30,7 @@ from cmcurve.curves import (
     residue_table,
     scalar_mul,
 )
-from cmcurve.errors import Ambiguous, NotANonResidue, SpecialJ, TooLarge
+from cmcurve.errors import Ambiguous, SpecialJ, TooLarge
 
 
 def brute_count(p, a4, a6):
@@ -147,11 +147,10 @@ def test_bsgs_equals_exhaustive_for_every_j_above_the_switch():
     # move from the exhaustive sum to BSGS; each j is checked with its twist
     p = 1031
     assert p > EXHAUSTIVE_COUNT_MAX and is_prime(p)
-    c = smallest_nonresidue(p)
     models = [curve(p, 0, 1), curve(p, 1, 0)]
     models += [curve_from_j(j, p) for j in range(1, p) if j != 1728 % p]
     for E in models:
-        for C in (E, quadratic_twist(E, c)):
+        for C in (E, quadratic_twist(E)):
             assert point_count_bsgs(C) == point_count_naive(C)
 
 
@@ -292,6 +291,7 @@ def _naf_chain_events(m, order):
     return events
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("p", [13, 17, 101, 211])
 def test_scalar_mul_matches_repeated_addition_on_every_point(p):
     # m runs over [0, 2p + 6], past ord(P) <= p + 1 + 2 sqrt(p) for every P;
@@ -430,13 +430,19 @@ def test_quadratic_twist_properties():
         p = rng.choice(SMALL_PRIMES)
         E = random_curve(rng, p)
         c = smallest_nonresidue(p)
-        T = quadratic_twist(E, c)
+        T = quadratic_twist(E)
+        assert (T.a4, T.a6) == (E.a4 * c * c % p, E.a6 * c ** 3 % p)
         assert T.j == E.j
         assert brute_count(p, E.a4, E.a6) + brute_count(p, T.a4, T.a6) == 2 * p + 2
-        TT = quadratic_twist(T, c)
+        TT = quadratic_twist(T)
         assert point_count_naive(TT) == point_count_naive(E)
 
 
-def test_quadratic_twist_rejects_residue():
-    with pytest.raises(NotANonResidue):
-        quadratic_twist(curve_from_j(2, 17), 4)
+def test_quadratic_twist_takes_no_constant():
+    # the twist by c = 5 = smallest_nonresidue(141767); a constant of the
+    # caller's is refused
+    E = curve_from_j(118481, 141767)
+    T = quadratic_twist(E)
+    assert (T.a4, T.a6, T.j) == (126973, 45198, 118481)
+    with pytest.raises(TypeError):
+        quadratic_twist(E, 5)

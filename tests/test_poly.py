@@ -77,6 +77,7 @@ def test_mul_and_mul_linear_match_schoolbook(bits):
         assert ring.unpack(ring.mul_linear(pa, c)) == school_mulmod(a, [c, 1], f, n)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("bits", BITS)
 def test_worst_slots_stay_below_3n_and_inside_d_slots(bits):
     # every slot at 3n - 1 = n - 1 (mod n): the results are right, every
@@ -161,6 +162,7 @@ def test_find_all_roots_repeated_none_and_linear():
     assert find_all_roots(PolyModM(n, (9,)), n) == []
 
 
+@pytest.mark.guard
 def test_find_all_roots_refuses_a_composite_modulus():
     # the quadratic formula's square root mod 21 must raise, not spin
     with pytest.raises(ValueError, match="21 is not an odd prime"):

@@ -105,6 +105,7 @@ def _prime_list_digest(Ds):
     return digest.hexdigest()
 
 
+@pytest.mark.guard
 def test_prime_lists_match_the_recorded_digests():
     small = [-d for d in range(5, 1000) if d % 8 != 7 and is_fundamental(-d)]
     assert len(small) == 200
@@ -116,6 +117,7 @@ def test_prime_lists_match_the_recorded_digests():
     assert ps.primes[-1] == CrtPrime(1434707, 2215)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("D", sorted(PINNED_LOG_B))
 def test_log_b_matches_the_recorded_value(D):
     assert discriminant(D).log_B == pytest.approx(PINNED_LOG_B[D], rel=1e-12, abs=0)
@@ -144,6 +146,7 @@ def _gamma2_digest(Ds):
     return digest.hexdigest()
 
 
+@pytest.mark.guard
 def test_gamma2_prime_lists_match_the_recorded_digests():
     cold = [D for D in COLD_D if D % 3]
     assert len(cold) == 37
