@@ -11,7 +11,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmcurve import (  # noqa: E402
-    build_shard,
     build_shards,
     construct_curve,
     crt_integer,
@@ -57,7 +56,7 @@ def main() -> None:
     if disc.d % 3 and disc.d > 4:
         g_set = find_crt_primes(disc, gamma2=True)
         g_shards = build_shards(disc, g_set.primes)
-        spare = build_shard(disc, g_set.spare)
+        spare = build_shards(disc, [g_set.spare])[0]
         g_lifted = lift_shards(g_shards, n, gamma2=True, spare=spare)
         print(f"\ngamma_2 primes {[s.p for s in g_shards]}: G_D mod {n} = "
               f"{list(g_lifted.coeffs)} (certified), as construct lifts it")

@@ -5,7 +5,6 @@ reductions at many small primes."""
 from .arith import is_prime, legendre, sqrt_mod_p
 from .classpoly import (
     Shard,
-    build_shard,
     build_shards,
     find_j_invariants,
     gamma2_poly,

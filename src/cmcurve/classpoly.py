@@ -201,17 +201,6 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> lis
     return found
 
 
-def build_shard(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> Shard:
-    js = find_j_invariants(disc, cp, jobs=jobs)
-    return Shard(
-        D=disc.D,
-        p=cp.p,
-        t=cp.t,
-        j_set=tuple(js),
-        poly=poly_from_roots(js, cp.p),
-    )
-
-
 def gamma2_poly(shard: Shard) -> PolyModM:
     """The shard's reduction of the gamma_2 = j^(1/3) class polynomial G_D.
 
@@ -314,7 +303,8 @@ def _checked_shard(text: str) -> Shard:
 def build_shards(
     disc: Discriminant, crt_primes, *, jobs: int = 1, cache_dir=None
 ) -> list[Shard]:
-    """Shards for every prime, ordered by p ascending.
+    """Shards for every prime, ordered by p ascending; the one way to build
+    a shard, cached or not: build_shards(disc, [cp])[0].
 
     Primes are taken in ascending order, one at a time; `jobs` is the
     j-scan pool inside each shard. With a cache directory, cached shards
@@ -330,7 +320,8 @@ def build_shards(
             if (shard.D, shard.t, shard.h) != (disc.D, cp.t, disc.h):
                 raise ValueError(f"cached shard {path} does not match request")
         else:
-            shard = build_shard(disc, cp, jobs=jobs)
+            js = find_j_invariants(disc, cp, jobs=jobs)
+            shard = Shard(disc.D, cp.p, cp.t, tuple(js), poly_from_roots(js, cp.p))
             if cache_dir is not None:
                 save_shard(shard, cache_dir)
         shards.append(shard)

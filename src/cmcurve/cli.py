@@ -131,10 +131,7 @@ def _cmd_lift(args, out) -> int:
 def _cmd_count(args, out) -> int:
     _check_prime("p", args.p)
     E = curves.curve_from_j(args.j, args.p)
-    if args.p <= curves.EXHAUSTIVE_COUNT_MAX:
-        n_points = curves.point_count_naive(E)
-    else:
-        n_points = curves.point_count_bsgs(E)
+    n_points = curves.point_count_bsgs(E)
     doc = {
         "p": str(args.p),
         "j": str(E.j),

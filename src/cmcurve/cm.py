@@ -137,14 +137,14 @@ def _lift_polys(moduli, polys, n: int) -> PolyModM:
 
 def hilbert_mod_n(disc: Discriminant, n: int) -> PolyModM:
     """The class polynomial for disc reduced mod n, degree h, monic."""
-    return _class_poly_mod_n(disc, n, False, 1, None, {})[0]
+    return _class_poly_mod_n(disc, n)[0]
 
 
 def _class_poly_mod_n(
-    disc: Discriminant, n: int, gamma2: bool, jobs: int, cache_dir, timings: dict
+    disc: Discriminant, n: int, *, gamma2: bool = False, jobs: int = 1, cache_dir=None
 ) -> tuple[PolyModM, tuple[int, ...]]:
     """The class polynomial of j, or with gamma2 of gamma_2, mod n, and the
-    primes of its shards; timings gets the "primes" and "hilbert" stages.
+    primes of its shards.
 
     d = 3 and d = 4 short-circuit to X and X - 1728 (j = 0 and j = 1728)
     over no primes. Everything else goes through shards at split primes and
@@ -152,25 +152,15 @@ def _class_poly_mod_n(
     shard of the prime set's spare; it is built, or read from the cache,
     with the others, and is not among the primes returned.
     """
-    t0 = time.perf_counter()
-    prime_set = None
-    if disc.d > 4:
-        prime_set = find_crt_primes(disc, gamma2=gamma2)
-    timings["primes"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if prime_set is None:
-        poly = PolyModM(modulus=n, coeffs=(0 if disc.d == 3 else -1728 % n, 1))
-        primes = ()
-    else:
-        # the spare is the largest prime, so its shard comes last
-        *shards, spare = build_shards(
-            disc, prime_set.primes + (prime_set.spare,), jobs=jobs, cache_dir=cache_dir
-        )
-        poly = lift_shards(shards, n, gamma2=gamma2, spare=spare)
-        primes = tuple(s.p for s in shards)
-    timings["hilbert"] = time.perf_counter() - t0
-    return poly, primes
+    if disc.d <= 4:
+        return PolyModM(modulus=n, coeffs=(0 if disc.d == 3 else -1728 % n, 1)), ()
+    prime_set = find_crt_primes(disc, gamma2=gamma2)
+    # the spare is the largest prime, so its shard comes last
+    *shards, spare = build_shards(
+        disc, prime_set.primes + (prime_set.spare,), jobs=jobs, cache_dir=cache_dir
+    )
+    poly = lift_shards(shards, n, gamma2=gamma2, spare=spare)
+    return poly, tuple(s.p for s in shards)
 
 
 def find_root_mod_n(poly: PolyModM, n: int, *, power: int = 1) -> int:
@@ -267,8 +257,12 @@ def construct_curve(n: int, N: int, *, jobs: int = 1, cache_dir=None) -> CurveRe
     disc = params.disc
     timings["derive"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     gamma2 = disc.d > 4 and disc.d % 3 != 0
-    poly, primes_used = _class_poly_mod_n(disc, n, gamma2, jobs, cache_dir, timings)
+    poly, primes_used = _class_poly_mod_n(
+        disc, n, gamma2=gamma2, jobs=jobs, cache_dir=cache_dir
+    )
+    timings["hilbert"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     j = find_root_mod_n(poly, n, power=3 if gamma2 else 1)

@@ -37,6 +37,10 @@ NAIVE_COUNT_CAP = 1 << 26
 # baby-step giant-step above it, where BSGS is already the faster of the two:
 # at p = 4099 one count took 0.9 ms exhaustively and 0.09 ms by BSGS.
 EXHAUSTIVE_COUNT_MAX = 1 << 10
+# BSGS refuses fields above this: its baby-step table grows as p^(1/4). At
+# j = 2 on a 2-core VM a count took 2.2 s at the first prime above 2^64 and
+# 11.0 s, with 2^19 baby steps and a 144 MB peak, at the first above 2^72.
+BSGS_COUNT_MAX = 1 << 72
 _BSGS_MAX_POINTS = 32
 
 
@@ -418,12 +422,15 @@ def point_count_bsgs(E: CurveModP) -> int:
     points alternately drawn from E and its quadratic twist (a candidate m
     for E pins the twist to order 2p + 2 - m) until one survives. The points
     come from the fixed stream task_rng(0, "count", p, j); the count is
-    exact whatever they are. On some small fields two orders survive every
-    point and it raises Ambiguous, as at (p, j) = (11, 2), (17, 10) and
-    (23, 6); the library and `count` count p <= EXHAUSTIVE_COUNT_MAX
-    exhaustively instead.
+    exact whatever they are. Fields up to EXHAUSTIVE_COUNT_MAX, where two
+    orders can survive every point, are counted by point_count_naive;
+    fields above BSGS_COUNT_MAX raise TooLarge before any work.
     """
     p = E.p
+    if p > BSGS_COUNT_MAX:
+        raise TooLarge(f"p = {p} exceeds the BSGS count cap {BSGS_COUNT_MAX}")
+    if p <= EXHAUSTIVE_COUNT_MAX:
+        return point_count_naive(E)
     rng = task_rng(0, "count", p, E.j)
     lo, hi = hasse_interval(p)
     width = hi - lo + 1

@@ -70,14 +70,15 @@ def _trace_cap(target_log: float) -> int:
 
 
 def _split_primes(d: int, t: int, gamma2: bool, cap: int):
-    """CrtPrime(p, t') for every prime p = (t'^2 + d)/4 > 3 not dividing d,
-    for t' = t, t + 2, ... in turn, hence ascending in p; with gamma2 only
+    """CrtPrime(p, t') for every prime p = (t'^2 + d)/4 > 3, for
+    t' = t, t + 2, ... in turn, hence ascending in p; with gamma2 only
     the p = 2 (mod 3). t must have the parity of d. Raises
     SearchLimitExceeded once t' passes cap."""
+    # No such p divides d: d = kp gives (4 - k)p = t'^2 with t' >= 1, and
+    # k = 1 forces p = 3, k = 2 forces p = 2, k = 3 makes p a square.
     while t <= cap:
         p, rem = divmod(t * t + d, 4)
-        if (rem == 0 and p > 3 and d % p != 0 and (not gamma2 or p % 3 == 2)
-                and is_prime(p)):
+        if rem == 0 and p > 3 and (not gamma2 or p % 3 == 2) and is_prime(p):
             yield CrtPrime(p=p, t=t)
         t += 2
     raise SearchLimitExceeded(f"prime search for d = {d} passed t = {cap}")
@@ -87,9 +88,8 @@ def find_crt_primes(disc: Discriminant, *, gamma2: bool = False) -> PrimeSet:
     """Smallest-first primes of the form (t^2 + d)/4 whose product exceeds
     the reconstruction threshold M, exp(default_target_log(disc)).
 
-    Primes p <= 3 and primes dividing 6d are skipped (the curve model needs
-    characteristic > 3 and an unramified prime; for t >= 1 no p > 3 can
-    divide d anyway).
+    Primes p <= 3 are skipped, as the curve model needs characteristic > 3;
+    no prime p > 3 of this form divides d, so every one is unramified.
 
     With gamma2 the search keeps only p = 2 (mod 3), where cubing permutes
     F_p, so that each j-shard gives the reduction of the gamma_2 class

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cmcurve.arith import is_prime
-from cmcurve.classpoly import build_shard, find_j_invariants, poly_from_roots
+from cmcurve.classpoly import build_shards, find_j_invariants, poly_from_roots
 from cmcurve.cm import construct_curve, find_all_roots, hilbert_mod_n
 from cmcurve.crt import build_basis, crt_integer, crt_mod_n
 from cmcurve.curves import (
@@ -107,7 +107,7 @@ def disc_big():
 @pytest.fixture(scope="module")
 def shards59(disc59):
     return [
-        build_shard(disc59, cp)
+        build_shards(disc59, [cp])[0]
         for cp in find_crt_primes(disc59).primes
     ]
 
@@ -146,7 +146,7 @@ def test_criterion_04_small_shards(disc59):
     with criterion(4, "class polynomial shards match the golden rows", 10.0):
         for p, coeffs in D59_SHARD_TABLE.items():
             t = math.isqrt(4 * p - 59)
-            shard = build_shard(disc59, CrtPrime(p=p, t=t))
+            shard = build_shards(disc59, [CrtPrime(p=p, t=t)])[0]
             assert shard.poly.coeffs == coeffs, f"shard mismatch at p={p}"
 
 
@@ -263,7 +263,7 @@ def test_criterion_09d_random_discriminant_shards():
         for D in discs:
             disc = discriminant(D)
             cp = find_crt_primes(disc).primes[0]
-            shard = build_shard(disc, cp)
+            shard = build_shards(disc, [cp])[0]
             assert shard.h == disc.h
             f = list(shard.poly.coeffs)
             fprime = [i * c % cp.p for i, c in enumerate(f)][1:]

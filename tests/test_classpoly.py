@@ -14,7 +14,6 @@ from cmcurve.classpoly import (
     _root_classes,
     _sieve,
     _sieve_entry,
-    build_shard,
     build_shards,
     find_j_invariants,
     gamma2_poly,
@@ -232,7 +231,7 @@ def test_wrong_count_aborts():
 def test_build_shard_matches_golden_rows():
     disc = discriminant(-59)
     for p, (t, js, coeffs) in D59_TABLE.items():
-        shard = build_shard(disc, CrtPrime(p, t))
+        shard = build_shards(disc, [CrtPrime(p, t)])[0]
         assert shard.j_set == tuple(js)
         assert shard.poly.coeffs == coeffs
         assert shard.h == 3
@@ -240,7 +239,7 @@ def test_build_shard_matches_golden_rows():
 
 def test_shard_roots_confirmed_by_exact_count():
     disc = discriminant(-59)
-    shard = build_shard(disc, CrtPrime(3797, 123))
+    shard = build_shards(disc, [CrtPrime(3797, 123)])[0]
     for j in shard.j_set:
         n = point_count_naive(curve_from_j(j, 3797))
         assert n in (3798 - 123, 3798 + 123)
@@ -248,7 +247,7 @@ def test_shard_roots_confirmed_by_exact_count():
 
 def test_shard_poly_is_squarefree():
     disc = discriminant(-59)
-    shard = build_shard(disc, CrtPrime(827, 57))
+    shard = build_shards(disc, [CrtPrime(827, 57)])[0]
     # distinct roots guarantee gcd(f, f') = 1
     from cmcurve.poly import _pgcd
 
@@ -259,7 +258,7 @@ def test_shard_poly_is_squarefree():
 
 def test_shard_json_roundtrip_is_bit_exact():
     disc = discriminant(-59)
-    shard = build_shard(disc, CrtPrime(71, 15))
+    shard = build_shards(disc, [CrtPrime(71, 15)])[0]
     text = shard_to_json(shard)
     again = shard_from_json(text)
     assert again == shard
@@ -268,7 +267,7 @@ def test_shard_json_roundtrip_is_bit_exact():
 
 def test_shard_json_rejects_corruption():
     disc = discriminant(-59)
-    shard = build_shard(disc, CrtPrime(71, 15))
+    shard = build_shards(disc, [CrtPrime(71, 15)])[0]
     text = shard_to_json(shard).replace('"51"', '"52"')
     with pytest.raises(ValueError):
         shard_from_json(text)
@@ -276,7 +275,7 @@ def test_shard_json_rejects_corruption():
 
 def test_shard_cache_layout_and_reload(tmp_path):
     disc = discriminant(-59)
-    shard = build_shard(disc, CrtPrime(17, 3))
+    shard = build_shards(disc, [CrtPrime(17, 3)])[0]
     path = save_shard(shard, tmp_path)
     assert path == tmp_path / "D59" / "p17.json"
     assert load_shard(path) == shard
@@ -328,7 +327,7 @@ def test_load_shard_rechecks_a_file_rewritten_in_place(tmp_path):
     # the check is remembered per file text: a forged file of the same
     # length and mtime at the same path must be checked afresh
     cp = CrtPrime(3797, 123)
-    shard = build_shard(discriminant(-59), cp)
+    shard = build_shards(discriminant(-59), [cp])[0]
     path = save_shard(shard, tmp_path)
     assert load_shard(path) == shard
     stat, size = path.stat(), len(path.read_text())
@@ -349,7 +348,7 @@ def test_load_shard_rechecks_a_file_rewritten_in_place(tmp_path):
 @pytest.mark.guard
 def test_build_shards_rejects_a_cached_shard_with_a_dropped_root(tmp_path):
     disc, cp = discriminant(-59), CrtPrime(3797, 123)
-    shard = build_shard(disc, cp)
+    shard = build_shards(disc, [cp])[0]
     save_shard(shard, tmp_path)
     assert build_shards(disc, [cp], cache_dir=tmp_path) == [shard]
     js = shard.j_set[:2]
@@ -371,10 +370,12 @@ def test_build_shards_uses_cache(tmp_path):
 
 
 def test_build_shards_parallel_matches_serial():
+    # the primes of D = -59 all lie below 2^16, where jobs=2 scans in this
+    # process; p = 73727 takes jobs through build_shards to the pool
     disc = discriminant(-59)
-    ps = find_crt_primes(disc)
-    serial = build_shards(disc, ps.primes, jobs=1)
-    parallel = build_shards(disc, ps.primes, jobs=2)
+    primes = find_crt_primes(disc).primes + (CrtPrime(73727, 543),)
+    serial = build_shards(disc, primes, jobs=1)
+    parallel = build_shards(disc, primes, jobs=2)
     assert serial == parallel
 
 
@@ -421,7 +422,7 @@ def test_integer_reconstruction_reduces_back_to_every_shard():
 def test_gamma2_poly_takes_the_cube_roots_of_the_shard():
     disc = discriminant(-59)
     for p, (t, js, _) in D59_TABLE.items():
-        shard = build_shard(disc, CrtPrime(p, t))
+        shard = build_shards(disc, [CrtPrime(p, t)])[0]
         if p % 3 != 2:
             with pytest.raises(ValueError):
                 gamma2_poly(shard)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,17 @@ def test_count_picks_the_method_by_field_size(p, j, points):
     assert doc["points"] == points and "method" not in doc
     if int(p) <= 1 << 26:
         assert int(points) == point_count_naive(curve_from_j(int(j), int(p)))
+
+
+@pytest.mark.guard
+def test_count_refuses_a_field_above_the_bsgs_cap(capsys):
+    # 2^72 + 15 is the smallest prime above BSGS_COUNT_MAX; the refusal
+    # comes before any baby step
+    t0 = time.perf_counter()
+    code, out = run_cli("count", "-p", str((1 << 72) + 15), "-j", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert "TooLarge" in capsys.readouterr().err
 
 
 def test_hdmodp_writes_cache(tmp_path):
@@ -203,7 +215,7 @@ def test_construct_timings_print_as_key_value_pairs():
     key, _, pairs = out.splitlines()[-1].partition(": ")
     assert key == "wall_times"
     stages = dict(pair.split("=") for pair in pairs.split(" "))
-    assert list(stages) == ["derive", "primes", "hilbert", "root", "construct"]
+    assert list(stages) == ["derive", "hilbert", "root", "construct"]
     assert all(float(v) >= 0 for v in stages.values())
 
 

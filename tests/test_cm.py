@@ -181,7 +181,7 @@ def test_construct_curve_checks_jobs_for_every_d(n, N, jobs):
 
 @pytest.mark.parametrize("n, N", [(141767, 142521), (7, 3)], ids=["D59", "D3"])
 def test_construct_curve_timings_keys(n, N):
-    stages = {"derive", "primes", "hilbert", "root", "construct"}
+    stages = {"derive", "hilbert", "root", "construct"}
     assert set(construct_curve(n, N).timings) == stages
 
 

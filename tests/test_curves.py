@@ -30,7 +30,7 @@ from cmcurve.curves import (
     residue_table,
     scalar_mul,
 )
-from cmcurve.errors import Ambiguous, SpecialJ, TooLarge
+from cmcurve.errors import SpecialJ, TooLarge
 
 
 def brute_count(p, a4, a6):
@@ -154,13 +154,17 @@ def test_bsgs_equals_exhaustive_for_every_j_above_the_switch():
             assert point_count_bsgs(C) == point_count_naive(C)
 
 
-def test_bsgs_is_ambiguous_on_a_small_field():
-    # E and its twist over F_11 have so small an exponent that two orders
-    # in the Hasse interval annihilate every point; the count is 16
-    E = curve_from_j(2, 11)
-    with pytest.raises(Ambiguous, match="2 candidate orders remain after 32 points"):
-        point_count_bsgs(E)
-    assert point_count_naive(E) == 16
+def test_bsgs_counts_every_j_on_small_fields():
+    # on some small fields two orders annihilate every point of E and its
+    # twist, as at (p, j) = (11, 2), (17, 10) and (23, 6); point_count_bsgs
+    # counts fields up to EXHAUSTIVE_COUNT_MAX exhaustively instead
+    assert point_count_bsgs(curve_from_j(2, 11)) == 16
+    for p in (p for p in range(11, 98) if is_prime(p)):
+        for j in range(1, p):
+            if j != 1728 % p:
+                E = curve_from_j(j, p)
+                assert point_count_bsgs(E) == point_count_naive(E)
+
 
 
 def test_bsgs_golden_curves():
