@@ -49,15 +49,15 @@ from pathlib import Path
 from .arith import legendre
 from .curves import (
     _TABLE_CACHE_MAX,
-    EXHAUSTIVE_COUNT_MAX,
     CurveModP,
     PowInverse,
     _x_mul,
     inverse_table,
     order_filter,
     point_count_bsgs,
-    point_count_naive,
 )
+# unused here; perfbench/spans.py rebinds it on classpoly
+from .curves import point_count_naive
 from .errors import WrongCount
 from .poly import PolyModM, poly_from_roots
 from .primegen import CrtPrime
@@ -152,8 +152,7 @@ def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
         E = CurveModP(p, *model, j)
         if not order_filter(E, t):
             continue
-        n = point_count_naive(E) if p <= EXHAUSTIVE_COUNT_MAX else point_count_bsgs(E)
-        if n in (p + 1 - t, p + 1 + t):
+        if point_count_bsgs(E) in (p + 1 - t, p + 1 + t):
             out.append(j)
     return out
 

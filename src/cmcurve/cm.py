@@ -8,12 +8,13 @@ is the answer. For 3 not dividing d the polynomial lifted is that of
 gamma_2 = j^(1/3), whose coefficients have a third of the log-height of
 H_D's, from the same j-shards at the primes p = 2 (mod 3); j is then the
 smallest cube of its roots, found by poly.find_all_roots. Each lift is
-checked at a spare prime; with j a root of H_D the curve has n + 1 -+ t
-points (Deuring): for d > 4, n > 2^10 one point telling them apart decides.
+checked at a spare prime; with j a root of H_D every twist of its curve has
+one of the orders of _twist_orders (Deuring), which verify_order tells apart.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,18 +23,17 @@ from .classpoly import Shard, build_shards, check_jobs, gamma2_poly
 from .crt import build_basis, crt_mod_n
 from .curves import (
     EXHAUSTIVE_COUNT_MAX,
-    NAIVE_COUNT_CAP,
     CurveModP,
     curve,
     curve_from_j,
     hasse_interval,
-    order_filter,  # unused here; perfbench/spans.py rebinds cm.order_filter
     point_count_bsgs,
-    point_count_naive,
     quadratic_twist,
     random_point,
     scalar_mul,
 )
+# unused here; perfbench/spans.py rebinds them on cm
+from .curves import order_filter, point_count_naive
 from .errors import (
     Ambiguous,
     CertificateFailed,
@@ -46,7 +46,7 @@ from .poly import PolyModM, find_all_roots
 from .primegen import find_crt_primes
 from .quadforms import Discriminant, discriminant
 
-_VERIFY_SAMPLES = 16  # random points checked where no exact count decides
+_VERIFY_SAMPLES = 16  # random points checked against the possible orders
 
 
 @dataclass(frozen=True)
@@ -177,47 +177,47 @@ def find_root_mod_n(poly: PolyModM, n: int, *, power: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_order(E: CurveModP, N: int, *, cm=False) -> bool:
+def verify_order(E: CurveModP, N: int, *, orders=None) -> bool:
     """Check #E(F_p) = N; an N outside the Hasse interval raises OutsideHasse.
 
-    An exact count decides up to EXHAUSTIVE_COUNT_MAX, and without cm up
-    to NAIVE_COUNT_CAP. Above, random points must all be annihilated by N
-    while N' = 2p + 2 - N fails on at least one; once [N]P = O, [N']P =
-    [N' - N]P, a scalar of half the length.
-
-    With cm the caller knows that #E is N or N', and the first point with
-    [N]P = O and [N']P != O proves #E = N. On a curve of order N the other
-    points form a group of order at most 16 sqrt(p) (its invariant factors
-    divide 4 and 2|t|), so for p > EXHAUSTIVE_COUNT_MAX 16 samples all miss
-    such a point with probability at most (16/(sqrt(p) - 2))^16; a miss
-    rejects the curve, never accepts a wrong one.
-
-    The points are drawn from the fixed stream task_rng(0, "verify", p).
+    Without orders, or for p <= EXHAUSTIVE_COUNT_MAX, an exact count by
+    point_count_bsgs decides; it refuses p > 2^72 with TooLarge. orders are
+    the orders the caller knows #E is among; then points drawn from the
+    fixed stream task_rng(0, "verify", p) decide: the first P with [N]P != O
+    rejects, and #E = N once every other M in orders has failed on some
+    sample P, [M - N]P != O. After 16 samples that leave some M standing
+    the answer is False: a miss can reject a right curve, never accept a
+    wrong one.
     """
     p = E.p
     lo, hi = hasse_interval(p)
     if not lo <= N <= hi:
         raise OutsideHasse(f"N = {N} outside [{lo}, {hi}] for n = {p}")
     rng = task_rng(0, "verify", p)
-    if p <= EXHAUSTIVE_COUNT_MAX or (p <= NAIVE_COUNT_CAP and not cm):
-        small = p <= EXHAUSTIVE_COUNT_MAX
-        exact = point_count_naive(E) if small else point_count_bsgs(E)
-        if exact != N:
+    if orders is None or p <= EXHAUSTIVE_COUNT_MAX:
+        if point_count_bsgs(E) != N:
             return False
         if scalar_mul(E, random_point(E, rng), N) is not None:
             raise InvariantViolation(f"exact count {N} does not annihilate a point")
         return True
-    gap = abs(2 * p + 2 - 2 * N)  # |N' - N| = 2|t|
-    other_ruled_out = gap == 0
+    gaps = {abs(M - N) for M in orders} - {0}
     for _ in range(_VERIFY_SAMPLES):
         P = random_point(E, rng)
         if scalar_mul(E, P, N) is not None:
             return False
-        if not other_ruled_out and scalar_mul(E, P, gap) is not None:
-            other_ruled_out = True
-        if cm and other_ruled_out:
+        gaps = {g for g in gaps if scalar_mul(E, P, g) is None}
+        if not gaps:
             return True
-    return other_ruled_out
+    return False
+
+
+def _twist_orders(n: int, t: int, d: int) -> set[int]:
+    """The orders of the twists of a curve over F_n with trace t and CM by
+    the discriminant of d, 4n = t^2 + d v^2: n + 1 -+ t for d > 4, and
+    also n + 1 -+ (t +- 3v)/2 for d = 3 and n + 1 -+ 2v for d = 4."""
+    v = math.isqrt((4 * n - t * t) // d)
+    traces = {3: (t, (t + 3 * v) // 2, (t - 3 * v) // 2), 4: (t, 2 * v)}.get(d, (t,))
+    return {n + 1 + s * a for a in traces for s in (1, -1)}
 
 
 def _candidates(n: int, j: int, d: int):
@@ -246,9 +246,9 @@ def construct_curve(n: int, N: int, *, jobs: int = 1, cache_dir=None) -> CurveRe
     polynomial, over the primes p = 2 (mod 3); its roots cube to the roots
     of H_D (G_D(X) divides H_D(X^3)), so j is the smallest cube of a root.
     The answer is the first of _candidates that verify_order accepts with
-    N points. The lift is certified at a spare prime, so for d > 4 each
-    candidate has N or N' = 2n + 2 - N points, and verify_order decides at
-    its first point that tells them apart (by an exact count at n <= 2^10).
+    N points. The lift is certified at a spare prime, so each candidate has
+    one of the orders of _twist_orders, and verify_order, given them,
+    decides at the first points that tell N from the others.
     """
     check_jobs(jobs)
     timings: dict[str, float] = {}
@@ -269,8 +269,9 @@ def construct_curve(n: int, N: int, *, jobs: int = 1, cache_dir=None) -> CurveRe
     timings["root"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cm = disc.d > 4  # d = 3 and d = 4 leave six or four possible orders
-    E = next((E for E in _candidates(n, j, disc.d) if verify_order(E, N, cm=cm)), None)
+    orders = _twist_orders(n, params.t, disc.d)
+    found = (E for E in _candidates(n, j, disc.d) if verify_order(E, N, orders=orders))
+    E = next(found, None)
     if E is None:
         raise Ambiguous(f"no candidate curve with j = {j} has {N} points")
     timings["construct"] = time.perf_counter() - t0

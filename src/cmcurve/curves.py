@@ -134,7 +134,7 @@ def _add(p: int, a4: int, P: Point, Q: Point) -> Point:
 # inversion; its four affine steps cost about 15 us more at 256 bits and
 # 5 us less at 64, against some 1.7 ms for a 256-bit [m]P.
 NAF_MIN_BITS = 80
-_NAF_CACHE_MAX = 4  # verify_order needs two, N and 2|t|, for both branches
+_NAF_CACHE_MAX = 6  # verify_order reads N and up to five gaps (d = 3) per point
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # bin(m) text to digits
 # random_point tests a candidate by legendre before its square root from
 # this field size on. Per point drawn the test read 0.72-0.93x at the

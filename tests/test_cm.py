@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import io
+import json
 import math
 import os
 import subprocess
@@ -23,9 +25,11 @@ from cmcurve.cm import (
     verify_order,
 )
 from cmcurve.arith import is_prime, task_rng
+from cmcurve.cli import main as cli_main
 from cmcurve.curves import (
     curve,
     curve_from_j,
+    hasse_interval,
     point_add,
     point_count_bsgs,
     point_count_naive,
@@ -318,8 +322,8 @@ def test_construct_curve_raises_ambiguous_when_neither_branch_verifies(
     assert tried == [E, quadratic_twist(E)]
 
 
-# Mutants of construct_curve above NAIVE_COUNT_CAP, where verify_order
-# samples points: the 64-bit D = -59 pair of BOTH_SIGNS (the gamma_2 lift)
+# Mutants of construct_curve at 64 bits, where verify_order samples
+# points: the 64-bit D = -59 pair of BOTH_SIGNS (the gamma_2 lift)
 # and a 64-bit D = -51 pair (3 | d, the j lift), N = n + 1 - t
 T51 = 6074001029
 MUTANT_PAIRS = [(-59, *BOTH_SIGNS[0][:2]), (-51, (T51 * T51 + 51) // 4, T51)]
@@ -375,7 +379,8 @@ def test_construct_curve_decides_by_the_first_distinguishing_point(
 ):
     # at 256 bits the root's own curve has n + 1 + t points: one point
     # accepts it; for n + 1 - t one point rejects it and one accepts the
-    # twist. verify_order without cm still draws all 16 points.
+    # twist. verify_order without the orders counts exactly, and refuses a
+    # 256-bit field before it draws a point.
     n, t, j, minus, plus = BOTH_SIGNS[1]
     drawn = []
     real = cm.random_point
@@ -389,8 +394,9 @@ def test_construct_curve_decides_by_the_first_distinguishing_point(
         E = construct_curve(n, N, cache_dir=shard_cache).curve
         assert ((E.a4, E.a6), drawn) == (want, draws)
         drawn.clear()
-        assert verify_order(E, N)
-        assert drawn == [want] * 16
+        with pytest.raises(TooLarge):
+            verify_order(E, N)
+        assert drawn == []
 
 
 def test_construct_curve_counts_no_cm_candidate_below_the_naive_cap(
@@ -474,27 +480,140 @@ def test_construct_curve_raises_ambiguous_when_no_special_model_verifies(
     assert len(tried) == 199
 
 
+@pytest.mark.parametrize(
+    "d, ns", [(3, (211, 223, 1009, 4051)), (4, (257, 1009, 4049))], ids=["d3", "d4"]
+)
+def test_twist_orders_are_the_orders_of_the_special_models(d, ns):
+    # y^2 = x^3 + b (d = 3) and y^2 = x^3 + ax (d = 4) over small coefficients
+    # reach all six or four twists; from any one of their traces the
+    # possible orders are those of all of them
+    for n in ns:
+        counts = {
+            point_count_naive(curve(n, 0, c) if d == 3 else curve(n, c, 0))
+            for c in range(1, 40)
+        }
+        assert len(counts) == (6 if d == 3 else 4)
+        for N in counts:
+            assert cm._twist_orders(n, n + 1 - N, d) == counts
+
+
+# d = 3 and d = 4 at 64 and 256 bits: (d, t, coefficient for N = n + 1 - t,
+# coefficient for N = n + 1 + t) with n = (t^2 + d) / 4, the b of
+# y^2 = x^3 + b or the a of y^2 = x^3 + ax, as pinned before verify_order
+# was given the twists' orders
+T3_256 = 481231938336009023090067544955250113879
+T4_256 = 481231938336009023090067544955250113972
+SPECIAL_PINNED = [
+    (3, 6074001049, 17, 9), (3, 6074001091, 12, 4),
+    (4, 6074001048, 7, 5), (4, 6074001148, 8, 2),
+    (3, T3_256, 3, 6), (3, T3_256 + 54, 4, 20),
+    (4, T4_256, 2, 8), (4, T4_256 + 88, 6, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "d, t, minus, plus", SPECIAL_PINNED,
+    ids=[f"{b}-bit-d{d}-{i}" for b in (64, 256) for d in (3, 4) for i in (1, 2)],
+)
+def test_construct_curve_special_models_give_pinned_curves(monkeypatch, d, t, minus, plus):
+    n = (t * t + d) // 4
+    assert is_prime(n) and n.bit_length() in (64, 256)
+    counted = []
+    monkeypatch.setattr(cm, "point_count_bsgs", lambda E: counted.append(E))
+    for N, coef in ((n + 1 - t, minus), (n + 1 + t, plus)):
+        result = construct_curve(n, N)
+        E = result.curve
+        assert (result.j, E.a4, E.a6) == ((0, 0, coef) if d == 3 else (1728, coef, 0))
+    assert counted == []  # the twist orders settle it by points alone
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("d, t, coef", [(3, 6074001049, 17), (4, 6074001048, 7)],
+                         ids=["d3", "d4"])
+def test_construct_curve_rejects_the_wrong_special_twists(monkeypatch, d, t, coef):
+    # every model among the first 40 whose coefficient lies outside the
+    # answer's twist class (b / coef not a sixth, a / coef not a fourth
+    # power): each of the other twists turns up, and none is accepted
+    n = (t * t + d) // 4
+    k = 6 if d == 3 else 4
+
+    def twist_class(c):
+        return pow(c * pow(coef, -1, n), (n - 1) // k, n)
+
+    wrong = [c for c in range(1, 40) if twist_class(c) != 1]
+    assert len({twist_class(c) for c in wrong}) == k - 1
+    models = [curve(n, 0, c) if d == 3 else curve(n, c, 0) for c in wrong]
+    monkeypatch.setattr(cm, "_candidates", lambda n, j, d: iter(models))
+    with pytest.raises(Ambiguous):
+        construct_curve(n, n + 1 - t)
+
+
 def test_verify_order_golden_curve():
     E = curve(141767, 39103, 120580)
     assert verify_order(E, 142521)
     assert not verify_order(E, 141015)
 
 
-def test_verify_order_large_field_sampling_path():
-    # prime above NAIVE_COUNT_CAP = 2^26: only the sampling route is taken
+def test_verify_order_counts_exactly_above_the_naive_cap(monkeypatch):
+    # prime above NAIVE_COUNT_CAP = 2^26: without orders one BSGS count
+    # decides each call
     p = 67108879
     E = curve_from_j(2, p)
     n_true = point_count_bsgs(E)
     assert n_true == 67112568
+    counted = []
+    monkeypatch.setattr(
+        cm, "point_count_bsgs", lambda E: counted.append(E) or point_count_bsgs(E)
+    )
     assert verify_order(E, n_true)
     assert not verify_order(E, 2 * p + 2 - n_true)
+    assert counted == [E, E]
+
+
+# p = m^2 - m + 1 with m = 8203, just above NAIVE_COUNT_CAP: y^2 = x^3 + 23
+# has the group Z/m x Z/m, whose exponent m kills every point, so every
+# multiple of m in the Hasse interval annihilates every sample
+M_SQ_P, M_SQ_M, M_SQ_ORDER = 67281007, 8203, 67289209
+
+
+@pytest.mark.guard
+def test_verify_rejects_every_wrong_multiple_of_a_small_exponent():
+    E = curve(M_SQ_P, 0, 23)
+    lo, hi = hasse_interval(M_SQ_P)
+    multiples = list(range(lo + (-lo) % M_SQ_M, hi + 1, M_SQ_M))
+    assert M_SQ_ORDER in multiples and len(multiples) == 4
+    for X in multiples:
+        verdict = X == M_SQ_ORDER
+        assert verify_order(E, X) is verdict
+        out = io.StringIO()
+        code = cli_main(
+            ["verify", "-n", str(M_SQ_P), "-N", str(X), "--a4", "0", "--a6", "23",
+             "--json"],
+            out=out,
+        )
+        doc = json.loads(out.getvalue())
+        assert (code, doc["verified"]) == ((0, True) if verdict else (1, False))
+
+
+@pytest.mark.guard
+def test_verify_refuses_a_field_above_the_bsgs_cap(capsys):
+    # 2^72 + 15 is the smallest prime above BSGS_COUNT_MAX: no exact count,
+    # so no verdict, and the refusal comes before any work
+    p = (1 << 72) + 15
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        verify_order(curve(p, 1, 1), p + 1)
+    code = cli_main(["verify", "-n", str(p), "-N", str(p + 1), "--a4", "1", "--a6", "1"],
+                    out=io.StringIO())
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "TooLarge" in capsys.readouterr().err
 
 
 def test_verify_order_cm_needs_a_point_that_tells_the_orders_apart(monkeypatch):
     # y^2 = (x - 1)(x^2 + x + 2) has the 2-torsion point (1, 0); #E and
     # N' = 2p + 2 - #E are both even, so [N']P = O as well as [#E]P = O,
     # and the point may not settle the order either way; one field below
-    # NAIVE_COUNT_CAP, where cm skips the exact count, and one above
+    # NAIVE_COUNT_CAP and one above, where given the orders no count is made
     real = cm.random_point
     for p in (1000003, 67108879):
         E = curve(p, 1, p - 2)
@@ -506,7 +625,7 @@ def test_verify_order_cm_needs_a_point_that_tells_the_orders_apart(monkeypatch):
             monkeypatch.setattr(
                 cm, "random_point", lambda E, rng: next(draws, None) or real(E, rng)
             )
-            assert verify_order(E, N, cm=True) is verdict
+            assert verify_order(E, N, orders={n_true, other}) is verdict
             assert next(draws, None) is None  # the pinned point was drawn
 
 
