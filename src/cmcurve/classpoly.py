@@ -11,9 +11,7 @@ below may work on any twist:
   D = t^2 - 4p is fundamental, a curve of trace +-t has exactly
   1 + (D/l) rational l-isogenies for every prime l != p (Kohel, PhD
   thesis, 1996); the table counts them for l = 2, 3, 5 as the points of
-  X_0(l) above j. The l = 2 count is the number of roots of the cubic, so
-  this implies the 2-torsion character test below; about 7 % of all j go
-  on;
+  X_0(l) above j; about 7 % of all j go on;
 - a one-point probe with no random numbers and no square root.
   With c = 1 + a4 + a6, Q = (c, c^2) lies on the twist by c,
   y^2 = x^3 + a4 c^2 x + a6 c^3, and x([p+1]Q) = x([t]Q) holds iff
@@ -28,12 +26,9 @@ below may work on any twist:
 
 The h roots assemble into the monic shard polynomial prod (X - j) mod p
 (poly.poly_from_roots), which later gets lifted coefficient by coefficient.
-A cached shard is checked on load with a 2-torsion character test and
-the probe, h probes in all, once per distinct file text in a process. The
-cubic's discriminant is -(432jk)^2 k, so it has exactly one root, a point
-of order 2, iff chi(j - 1728) = -1: an odd order has no such point and an
-order of 2 (mod 4) has exactly one. The load check's probes invert with
-pow and build no table.
+A cached shard is checked on load by the scan's last step, the exact
+count of each j's scan model, once per distinct file text in a process;
+h counts in all, and no O(p) table.
 """
 
 from __future__ import annotations
@@ -46,11 +41,10 @@ from functools import lru_cache
 from itertools import compress
 from pathlib import Path
 
-from .arith import legendre
+from .arith import is_prime, legendre
 from .curves import (
     _TABLE_CACHE_MAX,
     CurveModP,
-    PowInverse,
     _x_mul,
     inverse_table,
     order_filter,
@@ -58,7 +52,7 @@ from .curves import (
 )
 # unused here; perfbench/spans.py rebinds it on classpoly
 from .curves import point_count_naive
-from .errors import WrongCount
+from .errors import DomainError, WrongCount
 from .poly import PolyModM, poly_from_roots
 from .primegen import CrtPrime
 from .quadforms import Discriminant
@@ -120,26 +114,29 @@ def _sieve(p: int, t: int, lo: int, hi: int):
     return (j for j in compress(range(lo, hi), mask) if j and j != j1728)
 
 
-def _root_classes(p: int, t: int) -> tuple[int, ...]:
-    """The values of chi(j - 1728) + 1 that the load check's 2-torsion
-    character test lets through; never 1, so j = 1728 is always out."""
-    if t % 2:
-        return (2,)
-    return (0,) if (p + 1 - t) % 4 == 2 else (0, 2)
+def _scan_model(p: int, j: int) -> tuple[int, int]:
+    """(a4, a6) = (3jk, 2jk^2) mod p with k = 1728 - j."""
+    k = 1728 - j
+    return 3 * j * k % p, 2 * j * k * k % p
 
 
 def _probe(p: int, t: int, j: int, inv) -> tuple[int, int] | None:
-    """The scan model (a4, a6) of j != 0, 1728 if it passes the one-point
-    probe, or None: then no twist of it has p + 1 +- t points. inv gives
-    1/v mod p by indexing: inverse_table(p) or PowInverse(p)."""
-    k = 1728 - j
-    a4, a6 = 3 * j * k % p, 2 * j * k * k % p
+    """The scan model of j != 0, 1728 if it passes the one-point probe, or
+    None: then no twist of it has p + 1 +- t points. inv is
+    inverse_table(p)."""
+    a4, a6 = _scan_model(p, j)
     c = (1 + a4 + a6) % p
     if c:
         a4c, cc = a4 * c * c % p, c * c % p
         if _x_mul(p, a4c, c, cc, p + 1, inv) != _x_mul(p, a4c, c, cc, t, inv):
             return None
     return a4, a6
+
+
+def _has_trace(E: CurveModP, t: int) -> bool:
+    """Whether #E is p + 1 - t or p + 1 + t, by an exact count: the one
+    test of a root, for the scan and for a cached shard alike."""
+    return point_count_bsgs(E) in (E.p + 1 - t, E.p + 1 + t)
 
 
 def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
@@ -150,9 +147,7 @@ def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
         if model is None:
             continue
         E = CurveModP(p, *model, j)
-        if not order_filter(E, t):
-            continue
-        if point_count_bsgs(E) in (p + 1 - t, p + 1 + t):
+        if order_filter(E, t) and _has_trace(E, t):
             out.append(j)
     return out
 
@@ -272,14 +267,14 @@ def save_shard(shard: Shard, cache_dir) -> Path:
 def load_shard(path) -> Shard:
     """Read a cached shard and check it, raising a ValueError naming the file.
 
-    Besides the file agreeing with itself (see shard_from_json), the trace
-    must fit 4p = t^2 - D and the j must be distinct, each passing the
-    scan's character test and probe. The file is read on every load; the
-    check is a function of its text alone and is remembered per text.
+    Besides the file agreeing with itself (see shard_from_json), p must be
+    a prime above 3 with 4p = t^2 - D, and the j distinct, none 0 or 1728,
+    each passing the scan's exact count. The file is read on every load;
+    the check is a function of its text alone and is remembered per text.
     """
     try:
         return _checked_shard(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, DomainError) as exc:
         raise ValueError(f"cached shard {path}: {exc}") from None
 
 
@@ -289,12 +284,12 @@ def _checked_shard(text: str) -> Shard:
     p, t = shard.p, shard.t
     if t <= 0 or 4 * p != t * t - shard.D:
         raise ValueError(f"4p = t^2 - D fails for p = {p}, t = {t}")
+    if p <= 3 or not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime greater than 3")
     if len(set(shard.j_set)) != shard.h:
         raise ValueError("repeated j-invariants")
-    classes, inv = _root_classes(p, t), PowInverse(p)  # h probes: no O(p) table
     for j in shard.j_set:
-        allowed = legendre(j - 1728, p) + 1 in classes
-        if j == 0 or not allowed or _probe(p, t, j, inv) is None:
+        if j in (0, 1728 % p) or not _has_trace(CurveModP(p, *_scan_model(p, j), j), t):
             raise ValueError(f"j = {j} is not a root mod {p}")
     return shard
 

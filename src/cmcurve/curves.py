@@ -251,8 +251,8 @@ def _mul_raw(p: int, a4: int, x: int, y: int, m: int) -> tuple[int, int] | None:
 def _x_mul(p: int, a4: int, x: int, y: int, m: int, inv) -> int | None:
     """x([m](x, y)) for m >= 0, or None for O (the j-scan probe's kernel).
 
-    Affine double-and-add taking each inverse as inv[v] = 1/v mod p: a
-    table read in the scan, where an inversion then costs less than the
+    Affine double-and-add reading each inverse 1/v mod p as inv[v] from
+    inv = inverse_table(p), where an inversion then costs less than the
     extra products of the Jacobian formulas in _jacobian.
     """
     if m == 0:
@@ -345,17 +345,6 @@ def inverse_table(p: int) -> array:
     for v in range(2, p):
         inv[v] = (p - p // v) * inv[p % v] % p
     return inv
-
-
-class PowInverse:
-    """inv[v] = pow(v, -1, p) on demand, for a few inversions where an
-    O(p) inverse_table would cost more than it saves."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __getitem__(self, v: int) -> int:
-        return pow(v, -1, self.p)
 
 
 def hasse_interval(p: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -11,8 +12,6 @@ from cmcurve.classpoly import (
     PolyModM,
     Shard,
     _probe,
-    _root_classes,
-    _sieve,
     _sieve_entry,
     build_shards,
     find_j_invariants,
@@ -25,14 +24,13 @@ from cmcurve.classpoly import (
     shard_path,
     shard_to_json,
 )
+from cmcurve.cli import main
 from cmcurve.curves import (
     _TABLE_CACHE_MAX,
-    PowInverse,
     curve,
     curve_from_j,
     inverse_table,
     point_count_naive,
-    residue_table,
 )
 from cmcurve.errors import WrongCount
 from cmcurve.primegen import CrtPrime, find_crt_primes
@@ -92,34 +90,19 @@ def test_find_j_invariants_without_prefilter_agrees():
     assert find_j_invariants(discriminant(-59), CrtPrime(p, t)) == brute == [71, 130, 195]
 
 
-def test_root_character_and_probe_at_every_small_prime():
+def test_probe_passes_every_j_of_its_own_trace_at_every_small_prime():
     # every j of every prime 5 <= p < 400, with t from its exact count
     c_zero = 0
     for p in filter(is_prime, range(5, 400)):
-        tbl, inv = residue_table(p), PowInverse(p)
+        inv = inverse_table(p)
         for j in range(1, p):
             if j == 1728 % p:
                 continue
-            order = point_count_naive(curve_from_j(j, p))
-            chi = legendre(j - 1728, p)
-            assert order % 2 == 0 or chi == 1
-            assert order % 4 != 2 or chi == -1
-            t = abs(p + 1 - order)
-            assert tbl[(j - 1728) % p] in _root_classes(p, t)
+            t = abs(p + 1 - point_count_naive(curve_from_j(j, p)))
             a4, a6 = _probe(p, t, j, inv)
             assert curve(p, a4, a6).j == j
             c_zero += (1 + a4 + a6) % p == 0
     assert c_zero > 0  # the probe's c = 0 branch was taken
-
-
-def test_character_test_and_probe_reject_most_candidates():
-    p, t = 3797, 123
-    assert _root_classes(p, t) == (2,)  # t odd: chi(j - 1728) = +1
-    tbl = residue_table(p)
-    passed = [j for j in range(1, p) if tbl[(j - 1728) % p] == 2]
-    assert 2 * len(passed) == p - 1  # half of F_p
-    survivors = [j for j in passed if _probe(p, t, j, PowInverse(p)) is not None]
-    assert {70, 958, 2381} <= set(survivors) and len(survivors) < 20
 
 
 def _isogeny_counts(entry: int) -> dict[int, int]:
@@ -161,22 +144,6 @@ def test_isogeny_table_against_torsion_and_trace_at_every_small_prime():
                     assert counts[l] == predicted[l] == 1 + _kronecker(delta, l), (p, j, l)
                     trace_checks += 1
     assert trace_checks > 14000
-
-
-def test_sieve_candidates_pass_the_character_test():
-    # the sieve's l = 2 count implies the 2-torsion character test, for
-    # every trace 0 < t <= 2 sqrt(p)
-    nonempty = 0
-    for p in filter(is_prime, range(5, 200)):
-        tbl = residue_table(p)
-        for t in range(1, math.isqrt(4 * p) + 1):
-            classes = _root_classes(p, t)
-            survivors = {j for j in range(1, p) if tbl[(j - 1728) % p] in classes}
-            candidates = list(_sieve(p, t, 0, p))
-            assert set(candidates) <= survivors, (p, t)
-            assert 1728 % p not in candidates
-            nonempty += bool(candidates)
-    assert nonempty > 500
 
 
 def test_scan_at_p_5_leaves_out_the_l_5_count():
@@ -285,8 +252,8 @@ def test_shard_cache_layout_and_reload(tmp_path):
 @pytest.mark.parametrize(
     "j_set, t",
     [
-        ((70, 900, 2381), 123),  # 900 - 1728 is a square, as for a root
-        ((70, 907, 2381), 123),  # 907 - 1728 is not
+        ((70, 900, 2381), 123),
+        ((70, 907, 2381), 123),
         ((70, 70, 2381), 123),
         ((70, 958, 2381), 125),
     ],
@@ -295,7 +262,6 @@ def test_load_shard_rejects_a_forged_shard(tmp_path, j_set, t):
     # D = -59, p = 3797 has roots (70, 958, 2381) and t = 123; each forged
     # file agrees with itself, since its coefficients are rewritten to match
     p = 3797
-    assert [legendre(j - 1728, p) for j in (900, 907)] == [1, -1]
     for j in set(j_set) - {70, 958, 2381}:
         assert point_count_naive(curve_from_j(j, p)) not in (p + 1 - t, p + 1 + t)
     forged = Shard(D=-59, p=p, t=t, j_set=j_set, poly=poly_from_roots(j_set, p))
@@ -304,21 +270,83 @@ def test_load_shard_rejects_a_forged_shard(tmp_path, j_set, t):
         load_shard(path)
 
 
+@pytest.mark.guard
+def test_load_check_refuses_every_probe_survivor_that_is_no_root(tmp_path, capsys):
+    # a cached j must pass the scan's exact count, not only its probe: each
+    # j that the probe lets through at p = 3797 without being a root, put in
+    # the place of the root 70 among D = -59's eight cached shards, is
+    # refused by every way in to the cache, and nothing is printed
+    p, t, roots, disc = 3797, 123, (70, 958, 2381), discriminant(-59)
+    inv = inverse_table(p)
+    survivors = [j for j in range(1, p) if j != 1728 % p and _probe(p, t, j, inv)]
+    fakes = [j for j in survivors if j not in roots]
+    assert len(survivors) == 16 and len(fakes) == 13  # the probe rejects the rest
+    cache = tmp_path / "cache"
+    build_shards(disc, find_crt_primes(disc).primes, cache_dir=cache)
+    path = shard_path(cache, disc.D, p)
+    commands = (
+        ["hdmodp", "-D", "-59", "-p", str(p), "--cache", str(cache)],
+        ["lift", "--shards", str(cache), "-n", "141767"],
+    )
+    for j in fakes:
+        assert point_count_naive(curve_from_j(j, p)) not in (p + 1 - t, p + 1 + t)
+        js = tuple(sorted((j, *roots[1:])))
+        path.write_text(shard_to_json(Shard(-59, p, t, js, poly_from_roots(js, p))))
+        refusal = f"cached shard {path}: j = {j} is not a root mod {p}"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            load_shard(path)
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            build_shards(disc, [CrtPrime(p, t)], cache_dir=cache)
+        for argv in commands:
+            out = io.StringIO()
+            assert main(argv, out=out) == 1, argv
+            assert out.getvalue() == ""
+            assert refusal in capsys.readouterr().err
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize(
+    "D, p, t", [(-59, 15, 1), (-59, 21, 5), (-59, 35, 9), (-59, 45, 11), (-59, 57, 13),
+                (-4, 2, 2), (-3, 3, 3)],
+)
+def test_load_shard_refuses_a_field_that_is_no_prime_above_3(tmp_path, monkeypatch, D, p, t):
+    # 4p = t^2 - D holds, but no point count may run over such a p
+    counted = []
+    monkeypatch.setattr(classpoly, "point_count_bsgs", lambda E: counted.append(E) or 0)
+    path = save_shard(Shard(D, p, t, (1,), poly_from_roots((1,), p)), tmp_path)
+    refusal = f"cached shard {path}: p = {p} is not a prime greater than 3"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        load_shard(path)
+    assert counted == []
+
+
+@pytest.mark.guard
+def test_load_shard_names_a_file_whose_field_is_above_the_count_cap(tmp_path):
+    # a prime p > 2^72 with 4p = t^2 + 59: the count's TooLarge names the file
+    t = math.isqrt(1 << 74) | 1
+    while not is_prime((t * t + 59) // 4):
+        t += 2
+    p = (t * t + 59) // 4
+    path = save_shard(Shard(-59, p, t, (2, 7, 13), poly_from_roots((2, 7, 13), p)), tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"cached shard {path}: p = {p} exceeds")):
+        load_shard(path)
+
+
 def test_load_shard_checks_a_big_shard_without_an_inverse_table(tmp_path, monkeypatch):
-    # the h = 96 probes of a load must not build the O(p) scan tables
+    # the h = 96 exact counts of a load must not build the O(p) scan tables
     from test_acceptance import BIG_J_SET, BIG_P, BIG_T
 
-    built, probed = [], []
-    real_inverse, real_probe = classpoly.inverse_table, classpoly._probe
+    built, counted = [], []
+    real_inverse, real_count = classpoly.inverse_table, classpoly.point_count_bsgs
     real_isogeny = classpoly.isogeny_table
     monkeypatch.setattr(classpoly, "inverse_table", lambda p: built.append(p) or real_inverse(p))
     monkeypatch.setattr(classpoly, "isogeny_table", lambda p: built.append(p) or real_isogeny(p))
-    monkeypatch.setattr(classpoly, "_probe", lambda *a: probed.append(a[2]) or real_probe(*a))
+    monkeypatch.setattr(classpoly, "point_count_bsgs", lambda E: counted.append(E.j) or real_count(E))
     js = tuple(BIG_J_SET)
     shard = Shard(D=-832603, p=BIG_P, t=BIG_T, j_set=js, poly=poly_from_roots(js, BIG_P))
     classpoly._checked_shard.cache_clear()  # a check remembered from before proves nothing
     assert load_shard(save_shard(shard, tmp_path)) == shard
-    assert probed == BIG_J_SET
+    assert counted == BIG_J_SET
     assert built == []
 
 
