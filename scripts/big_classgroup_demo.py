@@ -2,11 +2,13 @@
 """Exercise the class-number-96 discriminant D = -832603.
 
 By default this prints the form/prime statistics and builds the single
-largest shard (p = 1434707), 5-6 CPU-seconds. With --full-lift it then
-runs construct_curve to n = 100959557, which lifts the gamma_2 class
-polynomial from the 146 shards of its own search (the primes p = 2 mod 3
-up to 539351): about 2.5 CPU-minutes with --jobs 1 (2-core VM, Python
-3.11; use --cache to make the run resumable).
+largest shard (p = 1434707), 5-7 CPU-seconds in one process, as one
+shard is never split: this build ignores --jobs. With --full-lift it
+then runs construct_curve to n = 100959557, which lifts the gamma_2
+class polynomial from the 146 shards of its own search (the primes
+p = 2 mod 3 up to 539351) and the spare's: about 2 CPU-minutes, built
+--jobs K shards at a time (2-core VM, Python 3.11; use --cache to make
+the run resumable).
 
 Usage: python scripts/big_classgroup_demo.py [--jobs K] [--cache DIR] [--full-lift]
 """
@@ -49,9 +51,9 @@ def main() -> None:
     print(f"ratios: |S| log d / log B = {prime_set.count_times_logd_over_logB:.3f}, "
           f"max p / (log B)^2 = {prime_set.max_p_over_logB_sq:.3f}")
 
-    print(f"\nbuilding the shard at p = {big.p} (t = {big.t}), jobs = {args.jobs}")
+    print(f"\nbuilding the shard at p = {big.p} (t = {big.t})")
     t0 = time.perf_counter()
-    shard = build_shards(disc, [big], jobs=args.jobs, cache_dir=args.cache)[0]
+    shard = build_shards(disc, [big], cache_dir=args.cache)[0]
     print(f"done in {time.perf_counter() - t0:.1f}s; "
           f"first j = {shard.j_set[0]}, last j = {shard.j_set[-1]}")
     print(f"X^{disc.h - 1} coefficient = {shard.poly.coeffs[-2]}, "

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -105,13 +105,13 @@ def _sieve_entry(p: int, t: int) -> int:
     return entry if p == 5 else entry + 32 * (1 + legendre(D, 5))
 
 
-def _sieve(p: int, t: int, lo: int, hi: int):
-    """The j in [lo, hi), other than 0 and 1728, that pass the isogeny-count
-    sieve, in ascending order."""
+def _sieve(p: int, t: int):
+    """The j other than 0 and 1728 that pass the isogeny-count sieve, in
+    ascending order."""
     select, j1728 = bytearray(256), 1728 % p
     select[_sieve_entry(p, t)] = 1
-    mask = isogeny_table(p)[lo:hi].translate(select)
-    return (j for j in compress(range(lo, hi), mask) if j and j != j1728)
+    mask = isogeny_table(p).translate(select)
+    return (j for j in compress(range(p), mask) if j and j != j1728)
 
 
 def _scan_model(p: int, j: int) -> tuple[int, int]:
@@ -139,10 +139,10 @@ def _has_trace(E: CurveModP, t: int) -> bool:
     return point_count_bsgs(E) in (E.p + 1 - t, E.p + 1 + t)
 
 
-def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
-    """Confirmed j-invariants in [lo, hi) whose curve order is p + 1 +- t."""
+def _scan_range(p: int, t: int) -> list[int]:
+    """Confirmed j-invariants whose curve order is p + 1 +- t, ascending."""
     inv, out = inverse_table(p), []
-    for j in _sieve(p, t, lo, hi):
+    for j in _sieve(p, t):
         model = _probe(p, t, j, inv)
         if model is None:
             continue
@@ -153,41 +153,24 @@ def _scan_range(p: int, t: int, lo: int, hi: int) -> list[int]:
 
 
 def check_jobs(jobs: int) -> None:
-    """The j-scan pool needs at least one worker."""
+    """The shard pool needs at least one worker."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
 
-def find_j_invariants(disc: Discriminant, cp: CrtPrime, *, jobs: int = 1) -> list[int]:
+def find_j_invariants(disc: Discriminant, cp: CrtPrime) -> list[int]:
     """The h j-invariants over F_p whose curves have p + 1 +- t points.
 
     Every survivor of the probabilistic filter is confirmed with an exact
-    count, so the result is exact; finding anything other than h of them
-    raises WrongCount and aborts the run. With jobs > 1 and p >= 2^16 the
-    j-range is split into chunks scanned by a process pool. The scan reads
-    two p-entry tables, isogeny_table(p) (p bytes) and inverse_table(p)
-    (4p bytes), about 5p bytes per process; a pool's workers inherit them
-    from this process.
+    count, so the result is exact and ascending; any number other than h
+    raises WrongCount. It reads isogeny_table(p) and inverse_table(p).
     """
-    check_jobs(jobs)
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:
         raise ValueError(f"prime {p} with trace {t} does not match d = {disc.d}")
     if disc.d <= 4:
         raise ValueError("d <= 4 is handled by the special curve models")
-    if jobs == 1 or p < 1 << 16:
-        found = _scan_range(p, t, 0, p)
-    else:
-        # built here, so that every forked worker inherits them
-        isogeny_table(p)  # and the inverse_table(p) it reads
-        chunks = jobs * 4
-        bounds = [(p * i) // chunks for i in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _scan_range, [p] * chunks, [t] * chunks, bounds[:-1], bounds[1:]
-            )
-            found = [j for part in parts for j in part]
-    found.sort()
+    found = _scan_range(p, t)
     if len(found) != disc.h:
         raise WrongCount(
             f"{len(found)} j-invariants survive for p = {p}, expected h = {disc.h}"
@@ -294,29 +277,46 @@ def _checked_shard(text: str) -> Shard:
     return shard
 
 
+def _new_shard(disc: Discriminant, cp: CrtPrime, cache_dir) -> Shard:
+    """The one task of build_shards: a shard from its j-scan, then saved."""
+    js = find_j_invariants(disc, cp)
+    shard = Shard(disc.D, cp.p, cp.t, tuple(js), poly_from_roots(js, cp.p))
+    if cache_dir is not None:
+        save_shard(shard, cache_dir)
+    return shard
+
+
 def build_shards(
     disc: Discriminant, crt_primes, *, jobs: int = 1, cache_dir=None
 ) -> list[Shard]:
     """Shards for every prime, ordered by p ascending; the one way to build
     a shard, cached or not: build_shards(disc, [cp])[0].
 
-    Primes are taken in ascending order, one at a time; `jobs` is the
-    j-scan pool inside each shard. With a cache directory, cached shards
-    are loaded and every new shard is saved as soon as it is built, so an
-    interrupted run resumes where it stopped.
+    Cached shards are loaded and checked first. The rest are built and
+    saved one per task: in ascending p in this process when jobs or the
+    number missing is 1, else by a pool of min(jobs, missing) processes.
+    An interrupted run resumes where it stopped; a failed task cancels
+    those not yet started and raises its own error.
     """
     check_jobs(jobs)
-    shards = []
+    shards, todo = [], []
     for cp in sorted(crt_primes, key=lambda c: c.p):
         path = None if cache_dir is None else shard_path(cache_dir, disc.D, cp.p)
-        if path is not None and path.exists():
-            shard = load_shard(path)
-            if (shard.D, shard.t, shard.h) != (disc.D, cp.t, disc.h):
-                raise ValueError(f"cached shard {path} does not match request")
-        else:
-            js = find_j_invariants(disc, cp, jobs=jobs)
-            shard = Shard(disc.D, cp.p, cp.t, tuple(js), poly_from_roots(js, cp.p))
-            if cache_dir is not None:
-                save_shard(shard, cache_dir)
+        if path is None or not path.exists():
+            todo.append(cp)
+            continue
+        shard = load_shard(path)
+        if (shard.D, shard.t, shard.h) != (disc.D, cp.t, disc.h):
+            raise ValueError(f"cached shard {path} does not match request")
         shards.append(shard)
-    return shards
+    workers = min(jobs, len(todo))
+    if workers <= 1:
+        shards += [_new_shard(disc, cp, cache_dir) for cp in todo]
+    else:
+        pool = ProcessPoolExecutor(workers)
+        try:
+            tasks = [pool.submit(_new_shard, disc, cp, cache_dir) for cp in todo]
+            shards += [task.result() for task in as_completed(tasks)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return sorted(shards, key=lambda s: s.p)

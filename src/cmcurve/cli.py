@@ -82,7 +82,7 @@ def _find_crt_prime(disc, p: int) -> primegen.CrtPrime:
 def _cmd_hdmodp(args, out) -> int:
     disc = quadforms.discriminant(args.D)
     cp = _find_crt_prime(disc, args.p)
-    [shard] = classpoly.build_shards(disc, [cp], jobs=args.jobs, cache_dir=args.cache)
+    [shard] = classpoly.build_shards(disc, [cp], cache_dir=args.cache)
     _emit(classpoly.shard_doc(shard), args.json, out)
     return 0
 
@@ -177,9 +177,7 @@ def _cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sub, *, jobs=False, cache=False):
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1)
+def _add_common(sub, *, cache=False):
     if cache:
         sub.add_argument("--cache", type=str, default=None)
     sub.add_argument("--json", action="store_true")
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("hdmodp", help="class polynomial shard at one prime")
     s.add_argument("-D", type=int, required=True)
     s.add_argument("-p", type=int, required=True)
-    _add_common(s, jobs=True, cache=True)
+    _add_common(s, cache=True)
     s.set_defaults(func=_cmd_hdmodp)
 
     s = subs.add_parser("lift", help="combine shards into the polynomial mod n")
@@ -226,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-n", type=int, required=True)
     s.add_argument("-N", type=int, required=True)
     s.add_argument("--timings", action="store_true")
-    _add_common(s, jobs=True, cache=True)
+    s.add_argument("--jobs", type=int, default=1)
+    _add_common(s, cache=True)
     s.set_defaults(func=_cmd_construct)
 
     s = subs.add_parser("verify", help="check a curve has the claimed order")

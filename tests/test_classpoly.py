@@ -1,8 +1,12 @@
 import io
 import math
+import multiprocessing
 import os
 import random
 import re
+import time
+from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -170,12 +174,6 @@ def test_find_j_invariants_rejects_mismatched_prime():
     disc = discriminant(-59)
     with pytest.raises(ValueError):
         find_j_invariants(disc, CrtPrime(17, 5))
-
-
-@pytest.mark.guard
-def test_find_j_invariants_refuses_jobs_below_one():
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        find_j_invariants(discriminant(-59), CrtPrime(17, 3), jobs=0)
 
 
 @pytest.mark.guard
@@ -397,23 +395,126 @@ def test_build_shards_uses_cache(tmp_path):
     assert stamp == stamp2  # untouched on the second pass
 
 
-def test_build_shards_parallel_matches_serial():
-    # the primes of D = -59 all lie below 2^16, where jobs=2 scans in this
-    # process; p = 73727 takes jobs through build_shards to the pool
+def _cache_files(cache_dir) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(Path(cache_dir).rglob("*")) if f.is_file()}
+
+
+def _stamps(cache_dir) -> dict:
+    return {f.name: f.stat().st_mtime_ns for f in Path(cache_dir).rglob("*.json")}
+
+
+def test_build_shards_parallel_matches_serial(tmp_path):
+    # eight uncached primes and two workers: every shard is a pool task
     disc = discriminant(-59)
-    primes = find_crt_primes(disc).primes + (CrtPrime(73727, 543),)
-    serial = build_shards(disc, primes, jobs=1)
-    parallel = build_shards(disc, primes, jobs=2)
+    primes = find_crt_primes(disc).primes
+    serial = build_shards(disc, primes, jobs=1, cache_dir=tmp_path / "serial")
+    parallel = build_shards(disc, primes, jobs=2, cache_dir=tmp_path / "parallel")
     assert serial == parallel
+    assert [s.p for s in parallel] == sorted(cp.p for cp in primes)
+    files = _cache_files(tmp_path / "serial")
+    assert len(files) == len(primes)
+    assert _cache_files(tmp_path / "parallel") == files
 
 
-def test_find_j_invariants_chunked_pool_matches_serial():
-    # p = 73727 is above the 2^16 threshold, so jobs=2 scans j-range chunks
-    # in a process pool
-    disc, cp = discriminant(-59), CrtPrime(p=73727, t=543)
-    serial = find_j_invariants(disc, cp, jobs=1)
-    assert serial == [3048, 33749, 53326]
-    assert find_j_invariants(disc, cp, jobs=2) == serial
+def test_build_shards_pool_builds_only_the_uncached_primes(tmp_path):
+    disc = discriminant(-59)
+    primes = find_crt_primes(disc).primes
+    serial = build_shards(disc, primes)
+    build_shards(disc, primes[::2], cache_dir=tmp_path)
+    cached = _stamps(tmp_path)
+    assert len(cached) == 4
+    assert build_shards(disc, primes, jobs=2, cache_dir=tmp_path) == serial
+    stamps = _stamps(tmp_path)
+    assert {name: stamps[name] for name in cached} == cached
+    assert set(stamps) == {f"p{cp.p}.json" for cp in primes}
+
+
+# a patch of find_j_invariants reaches pool workers only when they fork
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="pool workers do not fork"
+)
+
+
+def _fail_at(monkeypatch, p, started=None):
+    """find_j_invariants raising WrongCount at p; forked pool workers
+    inherit the patch. With started, every call first leaves a file there
+    and every other prime waits half a second."""
+    real = classpoly.find_j_invariants
+
+    def patched(disc, cp):
+        if started is not None:
+            (started / str(cp.p)).touch()
+        if cp.p == p:
+            raise WrongCount(f"forced at p = {p}")
+        if started is not None:
+            time.sleep(0.5)
+        return real(disc, cp)
+
+    monkeypatch.setattr(classpoly, "find_j_invariants", patched)
+
+
+@needs_fork
+def test_build_shards_pool_failure_keeps_the_saved_shards_for_a_rerun(tmp_path, monkeypatch):
+    disc = discriminant(-59)
+    primes = find_crt_primes(disc).primes
+    serial = {s.p: s for s in build_shards(disc, primes)}
+    bad = primes[3].p
+    with monkeypatch.context() as patch:
+        _fail_at(patch, bad)
+        with pytest.raises(WrongCount, match=f"forced at p = {bad}"):
+            build_shards(disc, primes, jobs=2, cache_dir=tmp_path)
+    assert not shard_path(tmp_path, disc.D, bad).exists()
+    for f in Path(tmp_path).rglob("*.json"):
+        shard = load_shard(f)
+        assert shard == serial[shard.p]
+    before = _stamps(tmp_path)
+    assert build_shards(disc, primes, jobs=2, cache_dir=tmp_path) == sorted(
+        serial.values(), key=lambda s: s.p)
+    after = _stamps(tmp_path)
+    assert {name: after[name] for name in before} == before
+    assert len(after) == len(primes)
+
+
+@needs_fork
+def test_build_shards_pool_failure_cancels_the_queued_shards(tmp_path, monkeypatch):
+    # the smallest prime fails at once while every other task takes half a
+    # second: the error comes out before two workers could reach the last
+    # primes, and they never start
+    disc = discriminant(-59)
+    primes = find_crt_primes(disc).primes
+    started = tmp_path / "started"
+    started.mkdir()
+    _fail_at(monkeypatch, primes[0].p, started)
+    with pytest.raises(WrongCount):
+        build_shards(disc, primes, jobs=2, cache_dir=tmp_path / "cache")
+    assert str(primes[0].p) in {f.name for f in started.iterdir()}
+    assert len(list(started.iterdir())) < len(primes)
+
+
+def test_build_shards_pool_has_at_most_one_worker_per_missing_shard(monkeypatch):
+    # a stand-in pool records its size and runs each task at once, so a
+    # huge jobs starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(classpoly, "ProcessPoolExecutor", InlinePool)
+    disc = discriminant(-59)
+    primes = find_crt_primes(disc).primes[:3]
+    assert build_shards(disc, primes, jobs=10**6) == build_shards(disc, primes)
+    assert sizes == [3]
+    build_shards(disc, primes[:1], jobs=10**6)
+    assert sizes == [3]  # one missing shard is built in this process
 
 
 def test_build_shards_saves_each_shard_before_the_next(tmp_path, monkeypatch):
@@ -421,10 +522,10 @@ def test_build_shards_saves_each_shard_before_the_next(tmp_path, monkeypatch):
     primes = find_crt_primes(disc).primes
     real = classpoly.find_j_invariants
 
-    def fail_at_fourth(disc, cp, **kwargs):
+    def fail_at_fourth(disc, cp):
         if cp.p == primes[3].p:
             raise WrongCount("interrupted")
-        return real(disc, cp, **kwargs)
+        return real(disc, cp)
 
     monkeypatch.setattr(classpoly, "find_j_invariants", fail_at_fourth)
     with pytest.raises(WrongCount):

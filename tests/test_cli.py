@@ -276,11 +276,27 @@ def test_modulus_must_be_a_prime_above_3(argv, name, capsys):
     "argv",
     [
         ["construct", "-n", "7", "-N", "3", "--jobs", "0"],
-        ["hdmodp", "-D", "-59", "-p", "17", "--jobs", "0"],
     ],
-    ids=["construct", "hdmodp"],
+    ids=["construct"],
 )
 def test_jobs_is_checked(argv, capsys):
     code, out = run_cli(*argv)
     assert code == 1 and out == ""
     assert "ValueError: jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_hdmodp_takes_no_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("hdmodp", "-D", "-59", "-p", "17", "--jobs", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_construct_json_is_the_same_at_jobs_1_and_2():
+    # no cache: D = -59's five gamma_2 shards are all built, by the pool at 2
+    argv = ["construct", "-n", "141767", "-N", "142521", "--json"]
+    code1, out1 = run_cli(*argv, "--jobs", "1")
+    code2, out2 = run_cli(*argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["primes_used"] == ["17", "71", "197", "521"]
