@@ -13,10 +13,11 @@ import random
 
 from .errors import NotASquare
 
-# Deterministic Miller-Rabin witness set, sufficient for all m < 3.3 * 10^24
-# (in particular for everything below 2^64).
+# Deterministic Miller-Rabin witness sets: 2, 7, 61 for m < 4,759,123,141
+# (Jaeschke 1993), every CRT prime included; the first 12 primes for m < 3.3 *
+# 10^24 (Sorenson & Webster 2017), so below 2^64. Trial division reaches 61.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 _PROBABLE_ROUNDS = 40  # error < 4^-40 = 2^-80 for m >= 2^64
 
@@ -37,14 +38,17 @@ def _miller_rabin(m: int, base: int) -> bool:
 
 
 def is_prime(m: int) -> bool:
-    """Primality test: deterministic below 2^64, error < 2^-80 above."""
+    """Primality test: deterministic below 2^64 (Miller-Rabin to bases 2, 7,
+    61 below 4,759,123,141, Jaeschke; to the first 12 primes from there,
+    Sorenson & Webster), error < 2^-80 above."""
     if m < 2:
         return False
     for q in _SMALL_PRIMES:
         if m % q == 0:
             return m == q
     if m < 1 << 64:
-        return all(_miller_rabin(m, a) for a in _MR_WITNESSES)
+        bases = (2, 7, 61) if m < 4_759_123_141 else _MR_WITNESSES
+        return all(_miller_rabin(m, a) for a in bases)
     # Bases are drawn from a generator seeded by m itself, so the answer is
     # still a deterministic function of m.
     rng = random.Random(f"is_prime:{m % (1 << 128)}")

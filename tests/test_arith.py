@@ -15,6 +15,35 @@ from cmcurve.arith import (
 from cmcurve.errors import NotASquare
 
 
+_TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(m, bases):
+    """Miller-Rabin: m passes every base, each taken mod m."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _twelve_base_rule(m):
+    """Exact below 3.3 * 10^24 (Sorenson & Webster)."""
+    if m < 2 or m in _TWELVE_BASES:
+        return m in _TWELVE_BASES
+    return _strong_probable_prime(m, _TWELVE_BASES)
+
+
 def test_is_prime_known_values():
     assert is_prime(17)
     assert is_prime(1434707)
@@ -25,6 +54,15 @@ def test_is_prime_known_values():
     assert is_prime(2)
     assert not is_prime(2 ** 67 - 1)
     assert is_prime(2 ** 89 - 1)
+    # the last trial divisors, and the composites that pin each base set
+    assert is_prime(53) and is_prime(59) and is_prime(61)
+    assert _strong_probable_prime(3215031751, (2, 7))
+    assert not _strong_probable_prime(3215031751, (61,))
+    assert not is_prime(3215031751)
+    assert 4759123141 == 48781 * 97561 and _strong_probable_prime(4759123141, (2, 7, 61))
+    assert not is_prime(4759123141)  # the (2, 7, 61) bound is strict
+    assert _strong_probable_prime(3825123056546413051, _TWELVE_BASES[:-1])
+    assert not is_prime(3825123056546413051)
 
 
 def test_is_prime_large_is_deterministic():
@@ -46,6 +84,12 @@ def test_is_prime_small_range_oracle():
 
     for n in range(2000):
         assert is_prime(n) == trial_division(n), n
+    # every m < 2^16, then a seeded sample on both sides of 4,759,123,141,
+    # where the bases switch from (2, 7, 61) to the first 12 primes
+    rng = random.Random(4759123141)
+    sample = [4759123141 + rng.randrange(-10**5, 10**5) for _ in range(2000)]
+    for m in [*range(1 << 16), *sample]:
+        assert is_prime(m) == _twelve_base_rule(m), m
 
 
 def test_legendre_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -66,14 +67,29 @@ def test_enumeration_against_brute_force():
             continue
         found += 1
         d = -D
-        brute = set()
+        brute = []  # in (a, b) order, so a misplaced mirror form fails
         for a in range(1, math.isqrt(d // 3) + 1):
             for b in range(-a, a + 1):
                 if (b * b - D) % (4 * a) == 0:
                     c = (b * b - D) // (4 * a)
                     if _is_reduced_primitive(a, b, c, D):
-                        brute.add((a, b, c))
-        assert {(f.a, f.b, f.c) for f in reduced_forms(D)} == brute
+                        brute.append((a, b, c))
+        assert [(f.a, f.b, f.c) for f in reduced_forms(D)] == brute
+
+
+@pytest.mark.parametrize(
+    "D, h, digest",
+    [
+        (-832603, 96, "29e087de1b71eea564faf000a942d4a0c3ee55bf2feab8479ed9f03ccb834520"),
+        (-9999991, 1715, "00f492e836078767d699f606952b3945d7103a5d02924f2630fa19b2051f7f6e"),
+    ],
+)
+def test_form_list_is_pinned(D, h, digest):
+    # SHA-256 of the (a, b, c) list as the (a, b)-ordered direct scan over
+    # -a <= b <= a produced it
+    forms = [(f.a, f.b, f.c) for f in reduced_forms(D)]
+    assert len(forms) == h
+    assert hashlib.sha256(repr(forms).encode()).hexdigest() == digest
 
 
 def test_every_form_satisfies_invariants():
