@@ -14,8 +14,8 @@ import random
 from .errors import NotASquare
 
 # Deterministic Miller-Rabin witness sets: 2, 7, 61 for m < 4,759,123,141
-# (Jaeschke 1993), every CRT prime included; the first 12 primes for m < 3.3 *
-# 10^24 (Sorenson & Webster 2017), so below 2^64. Trial division reaches 61.
+# (Jaeschke 1993); the first 12 primes for m < 3.3 * 10^24 (Sorenson &
+# Webster 2017), so below 2^64. Trial division reaches 61, the largest base.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
