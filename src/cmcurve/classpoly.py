@@ -19,10 +19,9 @@ below may work on any twist:
   j goes on untested. Both multiples come from an affine double-and-add
   that reads each inverse from the p-entry inverse_table(p), so an
   inversion costs one lookup;
-- the four-point order filter and an exact count for the few survivors.
-  Both draw their points from fixed streams keyed on (p, j), and every j
-  kept is confirmed by the exact count, so a shard depends only on
-  (D, p, t).
+- an exact count of every survivor. It draws its points from the fixed
+  stream (0, "count", p, j), and every j kept is confirmed by it, so a
+  shard depends only on (D, p, t).
 
 The h roots assemble into the monic shard polynomial prod (X - j) mod p
 (poly.poly_from_roots), which later gets lifted coefficient by coefficient.
@@ -42,16 +41,9 @@ from itertools import compress
 from pathlib import Path
 
 from .arith import is_prime, legendre
-from .curves import (
-    _TABLE_CACHE_MAX,
-    CurveModP,
-    _x_mul,
-    inverse_table,
-    order_filter,
-    point_count_bsgs,
-)
-# unused here; perfbench/spans.py rebinds it on classpoly
-from .curves import point_count_naive
+from .curves import _TABLE_CACHE_MAX, CurveModP, _x_mul, inverse_table, point_count_bsgs
+# unused here; perfbench/spans.py rebinds them on classpoly
+from .curves import order_filter, point_count_naive
 from .errors import DomainError, WrongCount
 from .poly import PolyModM, poly_from_roots
 from .primegen import CrtPrime
@@ -144,10 +136,7 @@ def _scan_range(p: int, t: int) -> list[int]:
     inv, out = inverse_table(p), []
     for j in _sieve(p, t):
         model = _probe(p, t, j, inv)
-        if model is None:
-            continue
-        E = CurveModP(p, *model, j)
-        if order_filter(E, t) and _has_trace(E, t):
+        if model is not None and _has_trace(CurveModP(p, *model, j), t):
             out.append(j)
     return out
 
@@ -161,9 +150,9 @@ def check_jobs(jobs: int) -> None:
 def find_j_invariants(disc: Discriminant, cp: CrtPrime) -> list[int]:
     """The h j-invariants over F_p whose curves have p + 1 +- t points.
 
-    Every survivor of the probabilistic filter is confirmed with an exact
-    count, so the result is exact and ascending; any number other than h
-    raises WrongCount. It reads isogeny_table(p) and inverse_table(p).
+    Every probe survivor is confirmed with an exact count, so the result
+    is exact and ascending; any number other than h raises WrongCount.
+    It reads isogeny_table(p) and inverse_table(p).
     """
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:

@@ -128,11 +128,11 @@ def _add(p: int, a4: int, P: Point, Q: Point) -> Point:
 
 # [m]P reads the width-4 NAF of m from this many bits on and its binary
 # digits below. Against the binary digits, per [m]P on a 2-core VM, the NAF
-# read 0.67x at 16-20 bits (the j-scan's order_filter), 1.0x at 56-72,
-# 1.12x at 80-88 and 1.2-1.25x at 256, its additions falling from b/2 to
-# b/5. Those runs built the table in Jacobian coordinates with one shared
-# inversion; its four affine steps cost about 15 us more at 256 bits and
-# 5 us less at 64, against some 1.7 ms for a 256-bit [m]P.
+# read 0.67x at 16-20 bits (the j-scan's exact counts, point_count_bsgs),
+# 1.0x at 56-72, 1.12x at 80-88 and 1.2-1.25x at 256, its additions falling
+# from b/2 to b/5. Those runs built the table in Jacobian coordinates with
+# one shared inversion; its four affine steps cost about 15 us more at 256
+# bits and 5 us less at 64, against some 1.7 ms for a 256-bit [m]P.
 NAF_MIN_BITS = 80
 _NAF_CACHE_MAX = 6  # verify_order reads N and up to five gaps (d = 3) per point
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # bin(m) text to digits
@@ -458,7 +458,8 @@ def order_filter(E: CurveModP, t: int) -> bool:
     does. False is exact: a sample not annihilated by p + 1 - t and one not
     annihilated by p + 1 + t rule both orders out. True only means neither
     is ruled out; an exact count must confirm it. The points come from
-    the fixed stream task_rng(0, "flt", p, j).
+    the fixed stream task_rng(0, "flt", p, j). No pipeline step calls it:
+    the j-scan confirms each probe survivor by an exact count alone.
     """
     p = E.p
     if not 0 < t <= math.isqrt(4 * p):

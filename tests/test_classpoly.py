@@ -210,6 +210,31 @@ def test_shard_roots_confirmed_by_exact_count():
         assert n in (3798 - 123, 3798 + 123)
 
 
+@pytest.mark.parametrize("D, cp", [
+    (-59, CrtPrime(3797, 123)),  # 3 probe survivors, all roots
+    (-59, CrtPrime(1907, 87)),  # 5 probe survivors for 3 roots
+    (-2083, find_crt_primes(discriminant(-2083), gamma2=True).spare),  # 8 for 7 roots
+])
+def test_the_scan_counts_each_probe_survivor_once_and_no_order_filter(monkeypatch, D, cp):
+    # the scan is sieve, probe, exact count: every j the probe keeps gets
+    # one exact count, and the four-point order filter is never called
+    def no_filter(E, t):
+        raise AssertionError("the scan called order_filter")
+
+    counted, real_count = [], classpoly.point_count_bsgs
+    monkeypatch.setattr(classpoly, "order_filter", no_filter)
+    monkeypatch.setattr(classpoly, "point_count_bsgs", lambda E: counted.append(E.j) or real_count(E))
+    disc, (p, t) = discriminant(D), (cp.p, cp.t)
+    shard = build_shards(disc, [cp])[0]
+    inv = inverse_table(p)
+    survivors = [j for j in classpoly._sieve(p, t) if _probe(p, t, j, inv)]
+    assert counted == survivors
+    assert set(shard.j_set) <= set(survivors) and shard.h == disc.h
+    if D == -59:
+        _, js, coeffs = D59_TABLE[p]
+        assert shard.j_set == tuple(js) and shard.poly.coeffs == coeffs
+
+
 def test_shard_poly_is_squarefree():
     disc = discriminant(-59)
     shard = build_shards(disc, [CrtPrime(827, 57)])[0]

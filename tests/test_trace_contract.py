@@ -33,7 +33,9 @@ def test_every_traced_name_exists_on_cm_and_classpoly():
 def test_a_traced_cold_construct_reaches_every_counted_layer(tmp_path):
     # the names must also be the ones the pipeline calls through: a call
     # that bypasses a rebound global would leave its counter at zero, and
-    # one that moves a filter would change the exact counts pinned here
+    # one that moves a filter would change the exact counts pinned here.
+    # On an empty cache the exact counts are the probe survivors: the scan
+    # counts each one, and no load check counts anything
     spans = _spans_module()
     tracer = spans.Tracer()
     with spans.rebound(tracer, cm, classpoly):
@@ -41,8 +43,7 @@ def test_a_traced_cold_construct_reaches_every_counted_layer(tmp_path):
     assert dict(tracer.counts) == {
         # the four gamma_2 primes 17 + 71 + 197 + 521 and the spare 827
         "classpoly.scanned_p": 1633,
-        "classpoly.probe_survivors": 17,
-        "classpoly.exact_counts": 15,
+        "classpoly.exact_counts": 17,
         "classpoly.confirmed": 15,  # h = 3 j per shard
         "crt.terms": 24,  # h = 3 coefficients over 4 primes, to n and to 827
     }
