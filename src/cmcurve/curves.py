@@ -374,46 +374,44 @@ def point_count_naive(E: CurveModP) -> int:
 def _annihilators_in_window(
     E: CurveModP, P: tuple[int, int], lo: int, width: int
 ) -> list[int]:
-    """All m in [lo, lo + width) with [m]P = O, by baby-step giant-step."""
+    """All m in [lo, lo + width) with [m]P = O, ascending, by baby-step
+    giant-step: with step = isqrt(width) + 1, the baby steps key [k]P by k
+    for 0 <= k < step (O as 0), so a giant step i, -[lo]P - [i*step]P,
+    matches at most one k and gives m = lo + i*step + k. If some [k]P = O
+    first, ord(P) = k and the window's multiples of k are returned instead.
+    """
     p, a4 = E.p, E.a4
     step = math.isqrt(width) + 1
-    baby: dict[tuple[int, int], int] = {}
-    q: Point = None
-    for jj in range(step):
-        if q is None and jj > 0:
-            # [jj]P = O, so ord(P) = jj: every multiple in the window works.
-            first = lo + (-lo) % jj
-            return list(range(first, lo + width, jj))
-        if q is not None:
-            baby[q] = jj
-        q = point_add(E, q, P)
-    # find k in [0, width): [k]P = -[lo]P, k = i*step + jj
-    target = point_neg(E, _mul_raw(p, a4, P[0], P[1], lo))
-    neg_giant = point_neg(E, _mul_raw(p, a4, P[0], P[1], step))
+    baby: dict[Point, int] = {None: 0}
+    q: Point = P
+    for k in range(1, step):
+        if q is None:
+            first = lo + (-lo) % k
+            return list(range(first, lo + width, k))
+        baby[q] = k
+        q = _add(p, a4, q, P)
+    neg_giant = point_neg(E, q)  # q = [step]P
+    cur = point_neg(E, _mul_raw(p, a4, P[0], P[1], lo))
     out = []
-    cur = target
     for i in range(width // step + 2):
-        if cur is None:
-            if i * step < width:
-                out.append(lo + i * step)
-        else:
-            jj = baby.get(cur)
-            if jj is not None and i * step + jj < width:
-                out.append(lo + i * step + jj)
-        cur = point_add(E, cur, neg_giant)
-    return sorted(out)
+        k = baby.get(cur)
+        if k is not None and i * step + k < width:
+            out.append(lo + i * step + k)
+        cur = _add(p, a4, cur, neg_giant)
+    return out
 
 
 def point_count_bsgs(E: CurveModP) -> int:
     """#E(F_p) by order-finding on random points.
 
-    Candidate orders inside the Hasse interval are intersected across random
-    points alternately drawn from E and its quadratic twist (a candidate m
-    for E pins the twist to order 2p + 2 - m) until one survives. The points
-    come from the fixed stream task_rng(0, "count", p, j); the count is
-    exact whatever they are. Fields up to EXHAUSTIVE_COUNT_MAX, where two
-    orders can survive every point, are counted by point_count_naive;
-    fields above BSGS_COUNT_MAX raise TooLarge before any work.
+    Each point, drawn alternately from E and its quadratic twist, gets one
+    _annihilators_in_window search over the Hasse interval; a twist order
+    m stands for 2p + 2 - m on E, and the candidate orders are the
+    intersection of those sets until one survives. The points come from
+    the fixed stream task_rng(0, "count", p, j); the count is exact
+    whatever they are. Fields up to EXHAUSTIVE_COUNT_MAX, where two orders
+    can survive every point, are counted by point_count_naive; fields
+    above BSGS_COUNT_MAX raise TooLarge before any work.
     """
     p = E.p
     if p > BSGS_COUNT_MAX:
@@ -424,27 +422,17 @@ def point_count_bsgs(E: CurveModP) -> int:
     lo, hi = hasse_interval(p)
     width = hi - lo + 1
     twist = quadratic_twist(E)
-    candidates: list[int] | None = None
+    candidates = range(lo, hi + 1)
     for trial in range(_BSGS_MAX_POINTS):
-        on_twist = trial & 1 == 1
-        C = twist if on_twist else E
-        P = random_point(C, rng)
-        if candidates is None:
-            found = _annihilators_in_window(C, P, lo, width)
-            candidates = (
-                [2 * p + 2 - m for m in found] if on_twist else list(found)
-            )
-        else:
-            keep = []
-            for m in candidates:
-                mm = 2 * p + 2 - m if on_twist else m
-                if _mul_raw(C.p, C.a4, P[0], P[1], mm) is None:
-                    keep.append(m)
-            candidates = keep
+        C = twist if trial & 1 else E
+        found = _annihilators_in_window(C, random_point(C, rng), lo, width)
+        if C is twist:
+            found = [2 * p + 2 - m for m in found]
+        candidates = {m for m in found if m in candidates}
         if not candidates:
             raise InvariantViolation(f"every candidate order mod {p} was eliminated")
         if len(candidates) == 1:
-            return candidates[0]
+            return candidates.pop()
     raise Ambiguous(
         f"{len(candidates)} candidate orders remain after {_BSGS_MAX_POINTS} points"
     )

@@ -11,6 +11,7 @@ from cmcurve.curves import (
     EXHAUSTIVE_COUNT_MAX,
     NAF_MIN_BITS,
     CurveModP,
+    _annihilators_in_window,
     _mul_raw,
     _naf4,
     _x_mul,
@@ -366,6 +367,30 @@ def test_x_mul_agrees_with_mul_raw_on_every_point(p):
     assert events == {
         "m = 0", "accumulator = base", "accumulator = -base", "double Y = 0"
     }
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_annihilators_in_window_match_brute_force(p):
+    # every point, in the Hasse window and in windows that start at, below
+    # and above multiples of its order; the windows must reach both the
+    # small-order return (ord(P) < step) and a giant step landing on O
+    lo_h, hi_h = hasse_interval(p)
+    small_order = giant_on_o = 0
+    for E in _small_order_curves(p):
+        points = [(x, y) for x in range(p) for y in range(p) if is_on_curve(E, (x, y))]
+        for P in points:
+            order = next(m for m in range(1, 2 * p + 3) if scalar_mul(E, P, m) is None)
+            windows = [(lo_h, hi_h - lo_h + 1), (order, 3 * order + 1), (1, 2 * p + 3),
+                       (5 * order, order + 1)]
+            for lo, width in windows:
+                want = [m for m in range(lo, lo + width) if scalar_mul(E, P, m) is None]
+                assert _annihilators_in_window(E, P, lo, width) == want, (E, P, lo, width)
+                step = isqrt(width) + 1
+                if order < step:
+                    small_order += 1
+                elif any((lo + i * step) % order == 0 for i in range(width // step + 2)):
+                    giant_on_o += 1
+    assert small_order and giant_on_o
 
 
 @pytest.mark.parametrize("p", [5, 7, 1031, 12007])
