@@ -82,18 +82,22 @@ def legendre(a: int, p: int) -> int:
 def smallest_nonresidue(p: int) -> int:
     """Smallest quadratic non-residue mod an odd prime p, cached per p.
 
-    Raises ValueError when no z < p has Jacobi symbol -1, as for p = 9.
+    Raises ValueError when no z < p has Jacobi symbol -1: exactly when p
+    is a square, as 9 is, which is refused without a search.
     """
-    for z in range(2, p):
-        if legendre(z, p) == -1:
-            return z
+    if math.isqrt(p) ** 2 != p:
+        for z in range(2, p):
+            if legendre(z, p) == -1:
+                return z
     raise ValueError(f"no quadratic non-residue mod {p}: {p} is not an odd prime")
 
 
 @functools.lru_cache(maxsize=8)
-def _tonelli_shanks_base(p: int) -> tuple[int, int, int]:
+def tonelli_shanks_base(p: int) -> tuple[int, int, int]:
     """(q, s, z^q mod p) for p - 1 = q * 2^s, q odd, z the smallest
-    non-residue: the per-prime part of Tonelli-Shanks, cached per p."""
+    non-residue: the per-prime 2-adic data of Tonelli-Shanks and of the
+    root split in poly, cached per p. z^q generates the 2-Sylow subgroup
+    of F_p^*, of order 2^s."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -123,7 +127,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
         if yy != p - a or math.gcd(a, p) > 1:
             raise ValueError(f"{p} is not an odd prime")
         raise NotASquare(f"{a} is not a square mod {p}")
-    q, s, c = _tonelli_shanks_base(p)
+    q, s, c = tonelli_shanks_base(p)
     w = pow(a, (q - 1) // 2, p)
     y = a * w % p  # a^((q+1)/2)
     t = y * w % p  # a^q

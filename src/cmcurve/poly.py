@@ -2,9 +2,11 @@
 linear factors, and root finding over F_n for an odd prime n. Products mod
 f pack each residue into one integer (Kronecker substitution; Harvey, J.
 Symb. Comp. 44, 2009) and reduce every slot at once by Barrett's method
-(Menezes et al., Handbook of Applied Cryptography, Alg. 14.42); roots are
-split as in Cantor & Zassenhaus, Math. Comp. 36 (1981), down to
-quadratics, which take the quadratic formula.
+(Menezes et al., Handbook of Applied Cryptography, Alg. 14.42). Roots are
+split down to quadratics, which take the quadratic formula. Each power of
+a shift X + c splits them by all s bits of (r + c)^q, n - 1 = q 2^s with
+q odd, in the 2-Sylow subgroup of F_n^*: Moenck's descent (Math. Comp. 31,
+1977), which is Cantor & Zassenhaus (Math. Comp. 36, 1981) at s = 1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .arith import sqrt_mod_p, task_rng
+from .arith import sqrt_mod_p, task_rng, tonelli_shanks_base
 from .errors import InvariantViolation
 
 
@@ -174,10 +176,12 @@ def find_all_roots(poly: PolyModM, n: int) -> list[int]:
     """All roots in F_n of a nonzero polynomial, sorted ascending.
 
     gcd(X^n - X, f) isolates the distinct roots; random shifts (X + c)
-    raised to (n-1)/2 then split that product of linear factors. The first
-    shift's power W also gives X^n - X = (X + c) W^2 - (X + c), since
-    (X + c)^n = X^n + c in F_n[X], and W mod g is the split's first attempt.
-    The shifts, from task_rng(0, "roots", n), change the work but never the roots.
+    then split that product of linear factors. For n - 1 = q 2^s, q odd,
+    the first shift's chain V_i = (X + c)^(q 2^i), i < s, ends in
+    W = (X + c)^((n-1)/2), which gives X^n - X = (X + c) W^2 - (X + c),
+    since (X + c)^n = X^n + c in F_n[X]; the chain mod g is the split's
+    first attempt. The shifts, from task_rng(0, "roots", n), change the
+    work but never the roots.
     """
     if poly.modulus != n:
         raise ValueError("polynomial modulus does not match n")
@@ -191,24 +195,38 @@ def find_all_roots(poly: PolyModM, n: int) -> list[int]:
     rng = task_rng(0, "roots", n)
     c = rng.randrange(n)
     ring = _ModF(f, n)
-    w = ring.pow_linear(c, (n - 1) // 2)
+    chain = _power_chain(ring, c, n)
+    w = chain[-1]
     xq, xc = (ring.unpack(ring.mul_linear(v, c)) for v in (ring.mul(w, w), 1))
     g = _pgcd([(a - b) % n for a, b in zip(xq, xc)], f, n)
     if len(g) <= 1:
         return []
-    roots = _split_roots(g, n, rng, _pdivmod(ring.unpack(w), g, n)[1])
+    roots = _split_roots(g, n, rng, [_pdivmod(ring.unpack(v), g, n)[1] for v in chain])
     roots.sort()
     if any(poly.evaluate(r) != 0 for r in roots):
         raise InvariantViolation(f"split produced a non-root mod {n}")
     return roots
 
 
-def _split_roots(g, n, rng, w=None) -> list[int]:
+def _power_chain(ring, c, n):
+    """[(X + c)^(q 2^i) mod f for i < s], packed, for n - 1 = q 2^s, q
+    odd: the steps of (X + c)^((n-1)/2) mod f, the last element."""
+    q, s, _ = tonelli_shanks_base(n)
+    chain = [ring.pow_linear(c, q)]
+    for _ in range(s - 1):
+        chain.append(ring.mul(chain[-1], chain[-1]))
+    return chain
+
+
+def _split_roots(g, n, rng, chain=None) -> list[int]:
     """Roots of a monic product of distinct linear factors mod n.
 
-    Degree 2 takes the quadratic formula; above it, Cantor-Zassenhaus
-    splits by gcd(w - 1, g) for w = (X + c)^((n-1)/2) mod g, c drawn from
-    rng. A given w stands for the first draw, already made by the caller.
+    Degree 2 takes the quadratic formula. Above it, the chain of a shift
+    c drawn from rng, mod g, sorts the roots by all s bits of (r + c)^q
+    (_descend; Moenck, Math. Comp. 31, 1977), where Cantor-Zassenhaus
+    (Math. Comp. 36, 1981) reads only the quadratic character; at s = 1
+    both split by gcd(W - 1, g). Classes above degree 2 draw afresh. A
+    given chain stands for the first draw, already made by the caller.
     """
     deg = len(g) - 1
     if deg <= 1:
@@ -216,14 +234,54 @@ def _split_roots(g, n, rng, w=None) -> list[int]:
     if deg == 2:
         s, half = sqrt_mod_p(g[1] * g[1] - 4 * g[0], n), (n + 1) // 2
         return [(-g[1] - s) * half % n, (-g[1] + s) * half % n]
-    ring = None  # built on the first fresh draw: a given w may split g alone
+    ring = None  # built on the first fresh draw: a given chain may split g alone
     while True:
-        if w is None:
+        if chain is None:
             ring = ring or _ModF(g, n)
-            w = ring.unpack(ring.pow_linear(rng.randrange(n), (n - 1) // 2))
-        w[0] = (w[0] - 1) % n
-        h1 = _pgcd(w, g, n)
-        if 0 < len(h1) - 1 < deg:
+            chain = [ring.unpack(v) for v in _power_chain(ring, rng.randrange(n), n)]
+        parts = _descend(g, chain, n)
+        if len(parts) > 1:
             break
-        w = None
-    return _split_roots(h1, n, rng) + _split_roots(_pdiv_exact(g, h1, n), n, rng)
+        chain = None
+    return [r for h in parts for r in _split_roots(h, n, rng)]
+
+
+def _descend(g, chain, n):
+    """The classes of g's roots r by t_r = (r + c)^q, given the chain
+    V_i = (X + c)^(q 2^i) mod g, i < s, in the order of their bits.
+
+    t_r = z^k_r for z = u^q, u the smallest non-residue, a generator of
+    the 2-Sylow subgroup of order 2^s. A class of roots with k_r = kappa
+    (mod 2^j) has V_(s-1-j)(r) = zeta or -zeta by the next bit of k_r,
+    zeta = z^(kappa 2^(s-1-j)), a product of the powers z^(2^i); so
+    gcd(V_(s-1-j) - zeta, h) splits the class h by that bit, as
+    Tonelli-Shanks does for one residue. The chain of each part is
+    reduced mod the part as the descent goes. The root -c, where every
+    V_i is 0, goes with the cofactor at each level. Classes of degree at
+    most 2 stop.
+    """
+    zpow = [tonelli_shanks_base(n)[2]]
+    for _ in range(len(chain) - 1):
+        zpow.append(zpow[-1] * zpow[-1] % n)
+    if zpow[-1] != n - 1:  # z^((n-1)/2) = -1 for every prime n
+        raise ValueError(f"{n} is not an odd prime")
+
+    def classes(h, chain, kappa):
+        if len(h) <= 3 or not chain:
+            return [h]
+        chain = [_pdivmod(v, h, n)[1] for v in chain]
+        j = len(zpow) - len(chain)
+        zeta = 1
+        for i in range(j):
+            if kappa >> i & 1:
+                zeta = zeta * zpow[i + len(chain) - 1] % n
+        v = chain.pop() or [0]
+        v[0] = (v[0] - zeta) % n
+        h0 = _pgcd(v, h, n)
+        parts = []
+        for hk, kk in ((h0, kappa), (_pdiv_exact(h, h0, n), kappa | 1 << j)):
+            if len(hk) > 1:
+                parts += classes(hk, chain, kk)
+        return parts
+
+    return classes(g, chain, 0)

@@ -188,6 +188,14 @@ def test_smallest_nonresidue_brute_force():
         assert smallest_nonresidue(p) == min(set(range(1, p)) - squares)
 
 
+@pytest.mark.guard
+@pytest.mark.parametrize("m", [9, 3**10, (2**61 - 1) ** 2], ids=["9", "3^10", "(2^61-1)^2"])
+def test_smallest_nonresidue_refuses_a_square_without_a_search(m):
+    # no z has Jacobi symbol -1 mod a square; a search would run to m
+    with pytest.raises(ValueError, match=f"{m} is not an odd prime"):
+        smallest_nonresidue(m)
+
+
 def test_task_rng_is_stable_across_instances():
     a = [task_rng(1, "x", 5).randrange(10 ** 9) for _ in range(4)]
     b = [task_rng(1, "x", 5).randrange(10 ** 9) for _ in range(4)]

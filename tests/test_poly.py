@@ -12,7 +12,7 @@ import random
 import pytest
 
 from cmcurve import poly
-from cmcurve.arith import is_prime, smallest_nonresidue, task_rng
+from cmcurve.arith import is_prime, smallest_nonresidue, task_rng, tonelli_shanks_base
 from cmcurve.classpoly import PolyModM, poly_from_roots
 from cmcurve.cm import find_all_roots
 from cmcurve.errors import InvariantViolation
@@ -179,7 +179,7 @@ def test_degree_96_split_at_27_bits_returns_every_root():
 
 
 def test_a_split_by_the_given_power_builds_no_ring_for_it(monkeypatch):
-    # f splits completely, so gcd(X^n - X, f) = f and the power W that
+    # f splits completely, so gcd(X^n - X, f) = f and the chain that
     # find_all_roots hands over splits it: besides find_all_roots' own
     # context for X^n, only factors that draw afresh build one, and none
     # is of degree 96
@@ -193,10 +193,10 @@ def test_a_split_by_the_given_power_builds_no_ring_for_it(monkeypatch):
             built.append(len(f) - 1)
             super().__init__(f, n)
 
-    def spy(g, n, rng, w=None):
-        if len(g) > 3 and w is None:
+    def spy(g, n, rng, chain=None):
+        if len(g) > 3 and chain is None:
             fresh.append(len(g) - 1)
-        return _split_roots(g, n, rng, w)
+        return _split_roots(g, n, rng, chain)
 
     monkeypatch.setattr(poly, "_ModF", CountingModF)
     monkeypatch.setattr(poly, "_split_roots", spy)
@@ -216,7 +216,9 @@ def _polymul(a, b, n):
 @pytest.mark.parametrize("n", [10007, 10009])  # 3 and 1 (mod 4)
 def test_find_all_roots_hands_the_first_power_mod_g_to_the_split(n, monkeypatch):
     # f = 3 (X - r_1)...(X - r_5)(X^2 - z), z a non-residue: g = gcd(X^n - X, f)
-    # has degree 5, so g != f and the split gets W mod g for its first try
+    # has degree 5, so g != f and the split gets the chain mod g for its
+    # first try: (X + c)^(q 2^i) mod g for n - 1 = q 2^s, i < s, ending in
+    # W = (X + c)^((n-1)/2) mod g
     rng = random.Random(n)
     roots = sorted(rng.sample(range(n), 5))
     g = list(poly_from_roots(roots, n).coeffs)
@@ -224,15 +226,107 @@ def test_find_all_roots_hands_the_first_power_mod_g_to_the_split(n, monkeypatch)
     assert brute_roots(f, n) == roots
     handed = []
 
-    def spy(g, n, rng, w=None):
-        handed.append((list(g), w and list(w)))  # the split recurses with w=None
-        return _split_roots(g, n, rng, w)
+    def spy(g, n, rng, chain=None):  # the split recurses with chain=None
+        handed.append((list(g), chain and [list(v) for v in chain]))
+        return _split_roots(g, n, rng, chain)
 
     monkeypatch.setattr(poly, "_split_roots", spy)
     assert find_all_roots(PolyModM(n, tuple(f)), n) == roots
     c = task_rng(0, "roots", n).randrange(n)
+    q, s, _ = tonelli_shanks_base(n)
+    assert s == {10007: 1, 10009: 3}[n]
     ring = _ModF(g, n)
-    assert handed[0] == (g, _ptrim(ring.unpack(ring.pow_linear(c, (n - 1) // 2))))
+    assert handed[0] == (g, [_ptrim(ring.unpack(ring.pow_linear(c, q << i))) for i in range(s)])
+    assert handed[0][1][-1] == _ptrim(ring.unpack(ring.pow_linear(c, (n - 1) // 2)))
+
+
+def prime_with_valuation(bits, s):
+    """The least prime n = q 2^s + 1 of `bits` bits with q odd."""
+    q = (1 << (bits - 1 - s)) + 1
+    while not is_prime((q << s) + 1):
+        q += 2
+    return (q << s) + 1
+
+
+# (n, v_2(n - 1)); None stands for the least 256-bit prime q 2^8 + 1, q odd
+SPLIT_MODULI = [pytest.param(n, s, id=f"s={s}") for n, s in (
+    (10007, 1), (10009, 3), (97, 5), (7681, 9), (12289, 12), (65537, 16),
+    ((1 << 255) - 19, 2), (None, 8))]
+
+
+def split_modulus(n, s):
+    n = n or prime_with_valuation(256, s)
+    assert tonelli_shanks_base(n)[1] == s
+    return n
+
+
+def distinct_residues(n, d, rng):
+    out = set()
+    while len(out) < d:
+        out.add(rng.randrange(n))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n, s", SPLIT_MODULI)
+def test_split_returns_the_given_roots_at_every_2_adic_valuation(n, s):
+    n = split_modulus(n, s)
+    rng = random.Random(n)
+    degrees = range(3, 41) if n.bit_length() < 64 else (3, 4, 5, 7, 8, 13, 40)
+    for d in degrees:
+        roots = distinct_residues(n, d, rng)
+        assert find_all_roots(poly_from_roots(roots, n), n) == roots, d
+
+
+@pytest.mark.parametrize("n, s", SPLIT_MODULI)
+def test_split_leaves_a_non_split_quadratic_factor_out(n, s):
+    n = split_modulus(n, s)
+    roots = distinct_residues(n, 9, random.Random(n))
+    g = list(poly_from_roots(roots, n).coeffs)
+    f = [5 * c % n for c in _polymul(g, [n - smallest_nonresidue(n), 0, 1], n)]
+    assert find_all_roots(PolyModM(n, tuple(f)), n) == roots
+
+
+@pytest.mark.parametrize("n, s", SPLIT_MODULI)
+def test_split_finds_the_root_where_every_chain_element_vanishes(n, s):
+    # r = -c for the stream's first c: every (X + c)^(q 2^i) is 0 at r,
+    # so r sits in no class of the descent and goes with each cofactor
+    n = split_modulus(n, s)
+    c = task_rng(0, "roots", n).randrange(n)
+    roots = sorted(set(distinct_residues(n, 8, random.Random(n)) + [(-c) % n]))
+    g = list(poly_from_roots(roots, n).coeffs)
+    ring = _ModF(g, n)
+    for v in poly._power_chain(ring, c, n):
+        assert sum(a * pow(-c, i, n) for i, a in enumerate(ring.unpack(v))) % n == 0
+    assert find_all_roots(PolyModM(n, tuple(g)), n) == roots
+    assert sorted(_split_roots(g, n, task_rng(0, "roots", n))) == roots
+
+
+def test_one_exponentiation_splits_six_roots_at_65537(monkeypatch):
+    # n - 1 = 2^16: the chain separates roots by all 16 bits of r + c, so
+    # the first power leaves no class of the six factors above degree 2
+    n = 65537
+    calls = []
+    pow_linear = _ModF.pow_linear
+
+    def counting(self, c, e):
+        calls.append(e)
+        return pow_linear(self, c, e)
+
+    monkeypatch.setattr(_ModF, "pow_linear", counting)
+    roots = sorted(random.Random(6).sample(range(n), 6))
+    assert find_all_roots(poly_from_roots(roots, n), n) == roots
+    assert len(calls) == 1
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("n, roots", [(33, [1, 10, 20, 24, 25, 30]), (65, [10, 47, 50, 52, 55]),
+                                      (105, [21, 76, 88]), (561, [133, 504, 545]),
+                                      (1105, [490, 547, 973])])
+def test_split_refuses_a_composite_modulus_with_a_long_chain(n, roots):
+    # v_2(n - 1) >= 3, and gcd(X^n - X, f) gets through each f: the
+    # descent or the quadratic formula must raise, not spin or recurse
+    with pytest.raises(ValueError, match=f"{n} is not an odd prime"):
+        find_all_roots(poly_from_roots(roots, n), n)
 
 
 @pytest.mark.parametrize("n", [103, 10007, 97, 7681, (1 << 255) - 19])
