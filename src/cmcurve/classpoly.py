@@ -7,7 +7,7 @@ k = 1728 - j, a4 = 3jk and a6 = 2jk^2, a twist of the `curve_from_j` model
 that needs no inversion. Twists swap p + 1 - t and p + 1 + t, so each test
 below may work on any twist:
 
-- an isogeny-count sieve, one lookup in the p-entry isogeny_table(p). As
+- an isogeny-count sieve, one lookup in the p-entry isogeny_table. As
   D = t^2 - 4p is fundamental, a curve of trace +-t has exactly
   1 + (D/l) rational l-isogenies for every prime l != p (Kohel, PhD
   thesis, 1996); the table counts them for l = 2, 3, 5 as the points of
@@ -41,7 +41,7 @@ from itertools import compress
 from pathlib import Path
 
 from .arith import is_prime, legendre
-from .curves import _TABLE_CACHE_MAX, CurveModP, _x_mul, inverse_table, point_count_bsgs
+from .curves import CurveModP, _x_mul, inverse_table, point_count_bsgs
 # unused here; perfbench/spans.py rebinds them on classpoly
 from .curves import order_filter, point_count_naive
 from .errors import DomainError, WrongCount
@@ -69,16 +69,15 @@ class Shard:
 # j-invariant scan
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_TABLE_CACHE_MAX)
-def isogeny_table(p: int) -> bytearray:
+def isogeny_table(p: int, inv) -> bytearray:
     """Entry j is c2 + 4 c3 + 32 c5, where c_l counts the h in F_p* with
     j_l(h) = j for the hauptmoduln j_2 = (h + 16)^3/h,
     j_3 = (h + 27)(h + 3)^3/h and j_5 = (h^2 + 10h + 5)^3/h of X_0(l).
     For j != 0, 1728 and l != p, c_l is the number of rational l-isogenies
     of a curve with invariant j. The l = 5 term is left out at p = 5. As
-    c2 <= 3, c3 <= 4 and c5 <= 6, an entry fits a byte. Cached per process
-    like inverse_table, whose entries give each 1/h."""
-    inv, tbl, w5 = inverse_table(p), bytearray(p), 32 if p != 5 else 0
+    c2 <= 3, c3 <= 4 and c5 <= 6, an entry fits a byte. inv is
+    inverse_table(p), whose entries give each 1/h."""
+    tbl, w5 = bytearray(p), 32 if p != 5 else 0
     for h in range(1, p):
         i, hh = inv[h], h * h
         tbl[(hh + 48 * h + 768 + 4096 * i) % p] += 1
@@ -89,7 +88,7 @@ def isogeny_table(p: int) -> bytearray:
 
 
 def _sieve_entry(p: int, t: int) -> int:
-    """The isogeny_table(p) entry of every j whose curves have p + 1 +- t
+    """The isogeny_table entry of every j whose curves have p + 1 +- t
     points, given that D = t^2 - 4p is fundamental: 1 + (D/l) for each l,
     with the Kronecker symbol (D/2) read from D mod 8."""
     D = t * t - 4 * p
@@ -97,12 +96,12 @@ def _sieve_entry(p: int, t: int) -> int:
     return entry if p == 5 else entry + 32 * (1 + legendre(D, 5))
 
 
-def _sieve(p: int, t: int):
+def _sieve(p: int, t: int, inv):
     """The j other than 0 and 1728 that pass the isogeny-count sieve, in
-    ascending order."""
+    ascending order. inv is inverse_table(p)."""
     select, j1728 = bytearray(256), 1728 % p
     select[_sieve_entry(p, t)] = 1
-    mask = isogeny_table(p).translate(select)
+    mask = isogeny_table(p, inv).translate(select)
     return (j for j in compress(range(p), mask) if j and j != j1728)
 
 
@@ -131,16 +130,6 @@ def _has_trace(E: CurveModP, t: int) -> bool:
     return point_count_bsgs(E) in (E.p + 1 - t, E.p + 1 + t)
 
 
-def _scan_range(p: int, t: int) -> list[int]:
-    """Confirmed j-invariants whose curve order is p + 1 +- t, ascending."""
-    inv, out = inverse_table(p), []
-    for j in _sieve(p, t):
-        model = _probe(p, t, j, inv)
-        if model is not None and _has_trace(CurveModP(p, *model, j), t):
-            out.append(j)
-    return out
-
-
 def check_jobs(jobs: int) -> None:
     """The shard pool needs at least one worker."""
     if jobs < 1:
@@ -152,14 +141,19 @@ def find_j_invariants(disc: Discriminant, cp: CrtPrime) -> list[int]:
 
     Every probe survivor is confirmed with an exact count, so the result
     is exact and ascending; any number other than h raises WrongCount.
-    It reads isogeny_table(p) and inverse_table(p).
+    Its two O(p) tables are built once per call; inverse_table(p) serves both
+    the isogeny table and the probe, and neither is kept.
     """
     p, t = cp.p, cp.t
     if 4 * p != t * t + disc.d:
         raise ValueError(f"prime {p} with trace {t} does not match d = {disc.d}")
     if disc.d <= 4:
         raise ValueError("d <= 4 is handled by the special curve models")
-    found = _scan_range(p, t)
+    inv, found = inverse_table(p), []
+    for j in _sieve(p, t, inv):
+        model = _probe(p, t, j, inv)
+        if model is not None and _has_trace(CurveModP(p, *model, j), t):
+            found.append(j)
     if len(found) != disc.h:
         raise WrongCount(
             f"{len(found)} j-invariants survive for p = {p}, expected h = {disc.h}"
@@ -207,6 +201,8 @@ def shard_to_json(shard: Shard) -> str:
 
 def shard_from_json(text: str) -> Shard:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not doc.keys() >= {"D", "p", "t", "h", "j_set", "coeffs"}:
+        raise ValueError("no shard object: it needs D, p, t, h, j_set and coeffs")
     p = int(doc["p"])
     j_set = tuple(int(v) for v in doc["j_set"])
     shard = Shard(
@@ -250,6 +246,8 @@ def load_shard(path) -> Shard:
         raise ValueError(f"cached shard {path}: {exc}") from None
 
 
+# A seed-1 round of construct_warm has about 340 hits and 12 misses: every
+# construction reloads the shards of its discriminant.
 @lru_cache(maxsize=1024)
 def _checked_shard(text: str) -> Shard:
     shard = shard_from_json(text)

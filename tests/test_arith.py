@@ -172,12 +172,16 @@ def test_sqrt_mod_p_every_residue_for_p_1_mod_4():
 
 
 @pytest.mark.guard
-@pytest.mark.parametrize("a, m", [(2, 9), (2, 25), (7, 21), (4, 15), (9, 15)])
+@pytest.mark.parametrize(
+    "a, m", [(2, 9), (2, 25), (7, 21), (4, 15), (9, 15), (64, 1105), (4, 561)]
+)
 def test_sqrt_mod_p_refuses_a_composite_modulus(a, m):
     # 9 and 25 have no z with Jacobi symbol -1, so the search for a
     # non-residue must stop at m; at 21 the Tonelli-Shanks squarings never
     # reach 1, so they must stop after m of them; at 15 = 3 (mod 4),
-    # y = a^4 has y^2 = 1 for a = 4 and y^2 = -a for a = 9, a non-unit
+    # y = a^4 has y^2 = 1 for a = 4 and y^2 = -a for a = 9, a non-unit;
+    # at 1105 and 561 a square shows t of order 2^m after the first pass,
+    # which a prime modulus never does
     with pytest.raises(ValueError, match=f"{m} is not an odd prime"):
         sqrt_mod_p(a, m)
 

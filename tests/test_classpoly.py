@@ -30,7 +30,6 @@ from cmcurve.classpoly import (
 )
 from cmcurve.cli import main
 from cmcurve.curves import (
-    _TABLE_CACHE_MAX,
     curve,
     curve_from_j,
     inverse_table,
@@ -129,7 +128,7 @@ def test_isogeny_table_against_torsion_and_trace_at_every_small_prime():
     # must predict the same c_l
     trace_checks = 0
     for p in filter(is_prime, range(5, 300)):
-        tbl, xs = isogeny_table(p), range(p)
+        tbl, xs = isogeny_table(p, inverse_table(p)), range(p)
         for j in range(1, p):
             if j == 1728 % p:
                 continue
@@ -153,7 +152,7 @@ def test_isogeny_table_against_torsion_and_trace_at_every_small_prime():
 def test_scan_at_p_5_leaves_out_the_l_5_count():
     # p = 5 splits for D = -19 and -11; X_0(5) tells nothing in
     # characteristic 5, so neither the table nor the wanted entry counts it
-    assert all(entry < 32 for entry in isogeny_table(5))
+    assert all(entry < 32 for entry in isogeny_table(5, inverse_table(5)))
     for D, t in ((-19, 1), (-11, 3)):
         brute = [j for j in (1, 2, 4)
                  if point_count_naive(curve_from_j(j, 5)) in (6 - t, 6 + t)]
@@ -161,13 +160,34 @@ def test_scan_at_p_5_leaves_out_the_l_5_count():
         assert len(brute) == 1
 
 
-def test_isogeny_tables_are_cached_like_the_other_tables():
-    for p in (101, 103, 107, 109, 113):
-        isogeny_table(p)
-    info = isogeny_table.cache_info()
-    assert info.maxsize == inverse_table.cache_info().maxsize == _TABLE_CACHE_MAX
-    assert info.currsize <= _TABLE_CACHE_MAX
-    assert isogeny_table(17) is isogeny_table(17)
+def test_each_shard_builds_its_scan_tables_once(monkeypatch):
+    # one inverse table per shard, read by both the isogeny table and the
+    # probe, and one isogeny table per shard: nothing is built twice
+    inverses, isogenies, probed = [], [], set()
+    real_inverse, real_isogeny, real_probe = (
+        classpoly.inverse_table, classpoly.isogeny_table, classpoly._probe)
+
+    def inverse(p):
+        inverses.append((p, real_inverse(p)))
+        return inverses[-1][1]
+
+    def isogeny(p, *inv):
+        isogenies.append((p, *inv))
+        return real_isogeny(p, *inv)
+
+    def probe(p, t, j, inv):
+        probed.add((p, id(inv)))
+        return real_probe(p, t, j, inv)
+
+    monkeypatch.setattr(classpoly, "inverse_table", inverse)
+    monkeypatch.setattr(classpoly, "isogeny_table", isogeny)
+    monkeypatch.setattr(classpoly, "_probe", probe)
+    primes = [CrtPrime(p, t) for p, (t, _, _) in D59_TABLE.items()]
+    shards = build_shards(discriminant(-59), primes)
+    assert [s.j_set for s in shards] == [tuple(js) for _, js, _ in D59_TABLE.values()]
+    assert [p for p, _ in inverses] == [p for p, *_ in isogenies] == list(D59_TABLE)
+    assert all(inv is table for (_, table), (_, inv) in zip(inverses, isogenies))
+    assert probed == {(p, id(table)) for p, table in inverses}
 
 
 def test_find_j_invariants_rejects_mismatched_prime():
@@ -227,7 +247,7 @@ def test_the_scan_counts_each_probe_survivor_once_and_no_order_filter(monkeypatc
     disc, (p, t) = discriminant(D), (cp.p, cp.t)
     shard = build_shards(disc, [cp])[0]
     inv = inverse_table(p)
-    survivors = [j for j in classpoly._sieve(p, t) if _probe(p, t, j, inv)]
+    survivors = [j for j in classpoly._sieve(p, t, inv) if _probe(p, t, j, inv)]
     assert counted == survivors
     assert set(shard.j_set) <= set(survivors) and shard.h == disc.h
     if D == -59:
@@ -344,6 +364,28 @@ def test_load_shard_refuses_a_field_that_is_no_prime_above_3(tmp_path, monkeypat
 
 
 @pytest.mark.guard
+@pytest.mark.parametrize("text, reason", [
+    ('{"D":"-59","p":"17","t":"3","h":"3","j_set":["2","7","13"]}\n',
+     "no shard object"),
+    ("[1,2]\n", "no shard object"),
+], ids=["no-coeffs", "a-list"])
+def test_load_shard_refuses_a_malformed_document_by_name(tmp_path, capsys, text, reason):
+    # a file that is no shard object, or lacks one of its fields, is refused
+    # like any other bad cached shard: a ValueError naming the file, and
+    # exit status 1 from the CLI
+    path = shard_path(tmp_path, -59, 17)
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    refusal = f"cached shard {path}: {reason}"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        load_shard(path)
+    out = io.StringIO()
+    assert main(["hdmodp", "-D", "-59", "-p", "17", "--cache", str(tmp_path)], out=out) == 1
+    assert out.getvalue() == ""
+    assert refusal in capsys.readouterr().err
+
+
+@pytest.mark.guard
 def test_load_shard_names_a_file_whose_field_is_above_the_count_cap(tmp_path):
     # a prime p > 2^72 with 4p = t^2 + 59: the count's TooLarge names the file
     t = math.isqrt(1 << 74) | 1
@@ -363,7 +405,8 @@ def test_load_shard_checks_a_big_shard_without_an_inverse_table(tmp_path, monkey
     real_inverse, real_count = classpoly.inverse_table, classpoly.point_count_bsgs
     real_isogeny = classpoly.isogeny_table
     monkeypatch.setattr(classpoly, "inverse_table", lambda p: built.append(p) or real_inverse(p))
-    monkeypatch.setattr(classpoly, "isogeny_table", lambda p: built.append(p) or real_isogeny(p))
+    monkeypatch.setattr(classpoly, "isogeny_table",
+                        lambda p, inv: built.append(p) or real_isogeny(p, inv))
     monkeypatch.setattr(classpoly, "point_count_bsgs", lambda E: counted.append(E.j) or real_count(E))
     js = tuple(BIG_J_SET)
     shard = Shard(D=-832603, p=BIG_P, t=BIG_T, j_set=js, poly=poly_from_roots(js, BIG_P))

@@ -27,7 +27,6 @@ from cmcurve.curves import (
     point_count_naive,
     quadratic_twist,
     random_point,
-    residue_table,
     scalar_mul,
 )
 from cmcurve.errors import SpecialJ, TooLarge
@@ -398,15 +397,6 @@ def test_inverse_table_inverts_every_unit(p):
     inv = inverse_table(p)
     assert len(inv) == p
     assert all(v * inv[v] % p == 1 for v in range(1, p))
-
-
-def test_inverse_tables_are_cached_no_more_than_residue_tables():
-    for p in (5, 7, 11, 13, 17):
-        inverse_table(p)
-        residue_table(p)
-    cached = inverse_table.cache_info().currsize
-    assert cached <= residue_table.cache_info().currsize == 3
-    assert inverse_table(17) is inverse_table(17)
 
 
 def test_random_point_always_on_curve_and_affine():
