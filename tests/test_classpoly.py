@@ -171,7 +171,7 @@ def test_each_shard_builds_its_scan_tables_once(monkeypatch):
         inverses.append((p, real_inverse(p)))
         return inverses[-1][1]
 
-    def isogeny(p, *inv):
+    def isogeny(p, *inv):  # also isogeny_table(p), which builds its own inverses
         isogenies.append((p, *inv))
         return real_isogeny(p, *inv)
 
