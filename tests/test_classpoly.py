@@ -1,7 +1,9 @@
+import importlib
 import io
 import math
 import multiprocessing
 import os
+import pkgutil
 import random
 import re
 import time
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cmcurve
 from cmcurve import classpoly
 from cmcurve.arith import is_prime, legendre
 from cmcurve.classpoly import (
@@ -188,6 +191,30 @@ def test_each_shard_builds_its_scan_tables_once(monkeypatch):
     assert [p for p, _ in inverses] == [p for p, *_ in isogenies] == list(D59_TABLE)
     assert all(inv is table for (_, table), (_, inv) in zip(inverses, isogenies))
     assert probed == {(p, id(table)) for p, table in inverses}
+
+
+def test_isogeny_tables_are_cached_like_the_other_tables():
+    # like inverse_table, isogeny_table keeps no per-process cache: each
+    # scan builds both for its shard and frees them; the lru_caches left in
+    # the package are the four whose hits the workloads show
+    assert not hasattr(isogeny_table, "cache_info")
+    assert not hasattr(inverse_table, "cache_info")
+    inv = inverse_table(17)
+    first, second = isogeny_table(17, inv), isogeny_table(17, inv)
+    assert first is not second and first == second
+    assert first == isogeny_table(17, inverse_table(17))
+    cached = {
+        f"{module.__name__}.{name}"
+        for info in pkgutil.iter_modules(cmcurve.__path__, "cmcurve.")
+        if info.name != "cmcurve.__main__"
+        for module in [importlib.import_module(info.name)]
+        for name, f in vars(module).items()
+        if hasattr(f, "cache_info") and f.__module__ == module.__name__
+    }
+    assert cached == {"cmcurve.arith.tonelli_shanks_base",
+                      "cmcurve.classpoly._checked_shard",
+                      "cmcurve.crt._prime_set",
+                      "cmcurve.curves.residue_table"}
 
 
 def test_find_j_invariants_rejects_mismatched_prime():

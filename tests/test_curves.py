@@ -27,6 +27,7 @@ from cmcurve.curves import (
     point_count_naive,
     quadratic_twist,
     random_point,
+    residue_table,
     scalar_mul,
 )
 from cmcurve.errors import SpecialJ, TooLarge
@@ -397,6 +398,19 @@ def test_inverse_table_inverts_every_unit(p):
     inv = inverse_table(p)
     assert len(inv) == p
     assert all(v * inv[v] % p == 1 for v in range(1, p))
+
+
+def test_inverse_tables_are_cached_no_more_than_residue_tables():
+    # residue_table keeps its three-entry cache; inverse_table keeps none,
+    # so a table lives only as long as the scan that built it
+    for p in (5, 7, 11, 13, 17):
+        inverse_table(p)
+        residue_table(p)
+    assert residue_table.cache_info().currsize == 3
+    assert residue_table(17) is residue_table(17)
+    assert not hasattr(inverse_table, "cache_info")
+    first, second = inverse_table(17), inverse_table(17)
+    assert first is not second and first == second
 
 
 def test_random_point_always_on_curve_and_affine():
